@@ -17,7 +17,13 @@ import (
 
 	"vessel"
 	"vessel/internal/harness/cliflags"
+	"vessel/internal/obs"
 )
+
+// timelinePerCore is the per-core span capacity behind -timeline and
+// -chrometrace: the busiest core of a default-length run (Caladan's,
+// about 80k spans) fits with room to spare.
+const timelinePerCore = 1 << 17
 
 func main() {
 	schedName := flag.String("sched", "vessel", "scheduler to run")
@@ -72,16 +78,13 @@ func main() {
 		Costs:        vessel.DefaultCosts(),
 		BWTargetFrac: *bwTarget,
 	}
-	var rec *vessel.TraceRecorder
-	if *timeline || *chromeOut != "" {
-		rec = vessel.NewTraceRecorder(1 << 20)
-		cfg.Trace = rec
-	}
 	var o *vessel.Observer
-	if *traceOut != "" || *profile {
+	if *timeline || *chromeOut != "" {
+		o = vessel.NewObserver(timelinePerCore)
+	} else if *traceOut != "" || *profile {
 		o = vessel.NewObserver(0)
-		cfg.Obs = o
 	}
+	cfg.Obs = o
 	var tr *vessel.JourneyTracer
 	if *journeyOut != "" {
 		tr = vessel.NewJourneyTracerWith(vessel.JourneyConfig{SampleEvery: *journeySample})
@@ -121,10 +124,13 @@ func main() {
 		from := vessel.Time(cfg.Warmup)
 		to := from + vessel.Time(100*vessel.Microsecond)
 		fmt.Fprintln(w)
-		fmt.Fprint(w, rec.Render(cfg.Cores, from, to, 100))
+		fmt.Fprint(w, obs.Render(o.Spans(), cfg.Cores, from, to, 100))
+		if n := o.Overwritten(); n != 0 {
+			fmt.Fprintf(w, "(%d spans overwritten: the window may be incomplete; shorten -duration)\n", n)
+		}
 	}
 	if *chromeOut != "" {
-		if err := writeTo(*chromeOut, rec.WriteChromeJSON); err != nil {
+		if err := writeTo(*chromeOut, o.WriteChromeTrace); err != nil {
 			cliflags.Fail("vesselsim", err)
 		}
 		fmt.Fprintf(w, "\nchrome trace written to %s (open in chrome://tracing or Perfetto)\n", *chromeOut)

@@ -21,7 +21,7 @@
 //     in the grantee's upcall queue) until the revoke is delivered, so
 //     a core can never be online in two domains at once.
 //   - Fault isolation. The policy runs behind a Failsafe wrapper
-//     (failsafe.go): a panicking or budget-blowing policy is swapped
+//     (internal/failsafe): a panicking or budget-blowing policy is swapped
 //     one-way for the minimal static fallback, and the swap is visible
 //     in the report and the event log.
 package clustersched
@@ -94,6 +94,15 @@ type Move struct {
 type Txn struct {
 	Moves      []Move
 	CostCycles int64
+}
+
+// Cost returns CostCycles, for the failsafe's budget check.
+func (t Txn) Cost() int64 { return t.CostCycles }
+
+// Charge returns the transaction with cycles added to its cost.
+func (t Txn) Charge(cycles int64) Txn {
+	t.CostCycles += cycles
+	return t
 }
 
 // MoveStatus is the per-move commit verdict of a transaction.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 
+	"vessel/internal/failsafe"
 	"vessel/internal/sim"
 )
 
@@ -50,6 +51,12 @@ type View struct {
 type Policy interface {
 	Name() string
 	Decide(View) Txn
+}
+
+// NewFailsafe wraps primary (nil selects Static) with the Static fallback
+// and the given per-decision cycle budget (0 disables the budget check).
+func NewFailsafe(primary Policy, budgetCycles int64) *failsafe.Failsafe[View, Txn] {
+	return failsafe.New[View, Txn](primary, Static{}, budgetCycles)
 }
 
 // decisionCost models what a decision costs the control plane: a fixed

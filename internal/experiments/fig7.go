@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"vessel/internal/obs"
 	"vessel/internal/sched"
 	"vessel/internal/sched/caladan"
 	"vessel/internal/sim"
-	"vessel/internal/trace"
 	"vessel/internal/vessel"
 	"vessel/internal/workload"
 )
@@ -25,13 +25,20 @@ type Fig7 struct {
 	AppFrac map[string]float64
 }
 
-// Figure7 runs both schedulers on the same workload with tracing and
-// renders a 100 µs window. Tracing needs a live per-run trace.Recorder, so
-// the two runs go directly through sched.Run — the executor contributes
-// only its worker pool (one run per system, uncached).
+// fig7PerCore is the span capacity of each core's ring in Figure 7's
+// private observer: the busiest core records just under 8k spans per run,
+// so this leaves room to spare while Figure7 still refuses to render a
+// window the ring has overwritten.
+const fig7PerCore = 1 << 14
+
+// Figure7 runs both schedulers on the same workload, each with its own
+// observer, and renders a 100 µs window from the recorded spans. The two
+// runs go directly through sched.Run — the executor contributes only its
+// worker pool (one run per system, uncached). When o.Obs is set, each
+// deterministic run is repeated with the shared observer attached so the
+// experiment's trace covers Figure 7 too.
 func Figure7(o Options) (Fig7, error) {
 	out := Fig7{AppFrac: make(map[string]float64)}
-	window := 100 * sim.Microsecond
 	systems := []sched.Scheduler{vessel.Simulator{}, caladan.Simulator{Variant: caladan.Plain}}
 	type fig7Out struct {
 		name  string
@@ -41,36 +48,42 @@ func Figure7(o Options) (Fig7, error) {
 	outs := make([]fig7Out, len(systems))
 	err := o.exec().Map(len(systems), func(i int) error {
 		s := systems[i]
-		rec := trace.NewRecorder(1 << 20)
 		const cores = 4
-		mc := workload.NewLApp("memcached", workload.Memcached(),
-			0.5*sched.IdealLCapacity(cores, workload.Memcached()))
-		cfg := o.baseConfig(mc, workload.Linpack())
-		cfg.Cores = cores
-		cfg.Duration = 5 * sim.Millisecond
-		cfg.Warmup = 1 * sim.Millisecond
-		cfg.Trace = rec
-		if _, err := sched.Run(s, cfg); err != nil {
-			return err
-		}
-		from := sim.Time(cfg.Warmup)
-		to := from.Add(window)
-		strip := rec.Render(cfg.Cores, from, to, 100)
-		var app, total sim.Duration
-		for _, seg := range rec.Segments() {
-			lo, hi := seg.Start, seg.End
-			if lo < from {
-				lo = from
-			}
-			if hi > to {
-				hi = to
-			}
-			if hi <= lo {
+		rec := obs.New(fig7PerCore)
+		var cfg sched.Config
+		for _, ob := range []*obs.Observer{rec, o.Obs} {
+			if ob == nil {
 				continue
 			}
-			d := hi.Sub(lo)
+			// Apps carry per-run state, so every run builds its own.
+			mc := workload.NewLApp("memcached", workload.Memcached(),
+				0.5*sched.IdealLCapacity(cores, workload.Memcached()))
+			cfg = o.baseConfig(mc, workload.Linpack())
+			cfg.Cores = cores
+			cfg.Duration = 5 * sim.Millisecond
+			cfg.Warmup = 1 * sim.Millisecond
+			cfg.Obs = ob
+			if _, err := sched.Run(s, cfg); err != nil {
+				return err
+			}
+		}
+		if n := rec.Overwritten(); n != 0 {
+			return fmt.Errorf("fig7: %s overwrote %d spans", s.Name(), n)
+		}
+		from := sim.Time(cfg.Warmup)
+		to := from.Add(100 * sim.Microsecond)
+		spans := rec.Spans()
+		strip := obs.Render(spans, cores, from, to, 100)
+		// An accountant over the window clips each span to it.
+		win := sched.Accountant{From: from, To: to}
+		var app, total sim.Duration
+		for _, sp := range spans {
+			if !sp.Cat.Activity() {
+				continue
+			}
+			d := win.Clip(sp.Start, sp.End)
 			total += d
-			if seg.Kind == trace.App {
+			if sp.Cat == obs.CatApp {
 				app += d
 			}
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
 	"testing"
 
 	"vessel/internal/conformance"
@@ -130,5 +132,28 @@ func TestFigure7Exhibit(t *testing.T) {
 	}
 	if f.String() == "" {
 		t.Fatal("render")
+	}
+}
+
+// TestFigure7Golden pins the Figure 7 exhibit byte for byte against its
+// block in experiments_full.txt (cmd/experiments prints each exhibit
+// followed by a blank line). Figure 7 sets its own cores and durations,
+// so the full and quick runs render the same bytes.
+func TestFigure7Golden(t *testing.T) {
+	full, err := os.ReadFile("../../experiments_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?ms)^(Figure 7 —.*?\n)\n(?:Figure|Table) `).FindSubmatch(full)
+	if m == nil {
+		t.Fatal("no Figure 7 block in experiments_full.txt")
+	}
+	want := string(m[1])
+	f, err := Figure7(Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.String(); got != want {
+		t.Fatalf("Figure 7 drifted from experiments_full.txt:\n--- got\n%s--- want\n%s", got, want)
 	}
 }

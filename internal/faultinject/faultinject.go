@@ -272,7 +272,7 @@ func New(d *uproc.Domain, plan Plan) *Injector {
 func (inj *Injector) RegisterQueue(q *dataplane.Queue) { inj.queues[q.Name] = q }
 
 // PolicyTarget is the scheduler-policy attack surface PolicyPanic faults
-// drive. The failsafe policy wrapper (internal/selfheal) implements it:
+// drive. The policy failsafe (internal/failsafe) implements it:
 // InjectPanic makes the wrapped policy's next decision panic, InjectBurn
 // charges the next decision the given extra cycles so it blows the
 // per-decision budget.

@@ -125,7 +125,7 @@ const (
 
 // WriteChromeTrace encodes spans in the Chrome trace-event JSON format,
 // loadable in Perfetto and chrome://tracing. Idle spans are omitted — the
-// gaps read as idle, exactly like trace.Recorder's exporter.
+// gaps read as idle.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
 	events := make([]chromeEvent, 0, len(spans))
 	for _, s := range spans {
@@ -197,8 +197,8 @@ func ValidateChromeTrace(r io.Reader) error {
 	return nil
 }
 
-// ganttGlyphs maps categories to timeline characters (matching the trace
-// package's Figure 7 legend, extended with overlay glyphs).
+// ganttGlyph maps categories to timeline characters: the Figure 7 legend
+// for the activity categories, extended with overlay glyphs.
 func ganttGlyph(c Category) byte {
 	switch c {
 	case CatApp:
@@ -222,6 +222,112 @@ func ganttGlyph(c Category) byte {
 	default:
 		return '.'
 	}
+}
+
+// strips renders cores 0..cores-1 over [from, to) as width-character
+// strips, each character the category that occupied most of its
+// (to-from)/width bucket. act[c] is core c's activity strip (idle where
+// nothing ran); over[c] is its overlay strip (blank where no overlay span
+// fell), and over is nil when no overlay span falls in the window at all.
+// Occupancy sums are integer nanoseconds, so the result does not depend
+// on the order of spans.
+func strips(spans []Span, cores int, from, to sim.Time, width int) (act, over [][]byte) {
+	bucketNs := float64(to-from) / float64(width)
+	grid := make([][NumCategories]float64, cores*width)
+	haveOverlay := false
+	for _, s := range spans {
+		if s.Core < 0 || s.Core >= cores || s.End <= from || s.Start >= to {
+			continue
+		}
+		lo, hi := s.Start, s.End
+		if lo < from {
+			lo = from
+		}
+		if hi > to {
+			hi = to
+		}
+		b0 := int(float64(lo-from) / bucketNs)
+		b1 := int(float64(hi-from) / bucketNs)
+		if hi > lo {
+			b1 = int(float64(hi-from-1) / bucketNs)
+		}
+		if b0 >= width {
+			b0 = width - 1
+		}
+		if b1 >= width {
+			b1 = width - 1
+		}
+		row := grid[s.Core*width : (s.Core+1)*width]
+		for b := b0; b <= b1; b++ {
+			bs := from.Add(sim.Duration(float64(b) * bucketNs))
+			be := from.Add(sim.Duration(float64(b+1) * bucketNs))
+			l, h := lo, hi
+			if l < bs {
+				l = bs
+			}
+			if h > be {
+				h = be
+			}
+			weight := float64(h - l)
+			if weight <= 0 {
+				weight = 1 // instant markers still claim their bucket
+			}
+			row[b][s.Cat] += weight
+		}
+		if !s.Cat.Activity() {
+			haveOverlay = true
+		}
+	}
+	// dominant returns the category in [lo, hi) with the largest positive
+	// occupancy (the first on ties), or CatIdle.
+	dominant := func(occ *[NumCategories]float64, lo, hi Category) Category {
+		best, bestV := CatIdle, 0.0
+		for k := lo; k < hi; k++ {
+			if occ[k] > bestV {
+				best, bestV = k, occ[k]
+			}
+		}
+		return best
+	}
+	act = make([][]byte, cores)
+	if haveOverlay {
+		over = make([][]byte, cores)
+	}
+	for c := range act {
+		act[c] = make([]byte, width)
+		if over != nil {
+			over[c] = make([]byte, width)
+		}
+		for b := range act[c] {
+			occ := &grid[c*width+b]
+			act[c][b] = ganttGlyph(dominant(occ, CatIdle, CatGate))
+			if over != nil {
+				over[c][b] = ' '
+				if k := dominant(occ, CatGate, NumCategories); k != CatIdle {
+					over[c][b] = ganttGlyph(k)
+				}
+			}
+		}
+	}
+	return act, over
+}
+
+// Render prints the activity strips of cores 0..cores-1 over [from, to),
+// width characters each, under the Figure 7 legend — the paper's
+// core-occupancy timelines. Overlay spans do not affect it. A degenerate
+// window or width renders the header alone.
+func Render(spans []Span, cores int, from, to sim.Time, width int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "core timelines %v → %v  (#=app r=runtime K=kernel s=switch .=idle)\n",
+		from, to)
+	if width <= 0 || to <= from {
+		return b.String()
+	}
+	act, _ := strips(spans, cores, from, to, width)
+	for c, strip := range act {
+		fmt.Fprintf(&b, "core %2d |%s|\n", c, strip)
+	}
+	return b.String()
 }
 
 // WriteGantt renders a per-core ASCII gantt summary of [from, to): one
@@ -253,90 +359,14 @@ func WriteGantt(w io.Writer, spans []Span, from, to sim.Time, width int) error {
 			cores = s.Core + 1
 		}
 	}
-	bucketNs := float64(to-from) / float64(width)
-	type occ struct {
-		act     [NumCategories]float64
-		overlay [NumCategories]float64
-	}
-	grid := make([][]occ, cores)
-	for c := range grid {
-		grid[c] = make([]occ, width)
-	}
-	haveOverlay := false
-	for _, s := range spans {
-		if s.Core < 0 || s.End <= from || s.Start >= to {
-			continue
-		}
-		lo, hi := s.Start, s.End
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
-		b0 := int(float64(lo-from) / bucketNs)
-		b1 := int(float64(hi-from) / bucketNs)
-		if hi > lo {
-			b1 = int(float64(hi-from-1) / bucketNs)
-		}
-		if b0 >= width {
-			b0 = width - 1
-		}
-		if b1 >= width {
-			b1 = width - 1
-		}
-		for b := b0; b <= b1; b++ {
-			bs := from.Add(sim.Duration(float64(b) * bucketNs))
-			be := from.Add(sim.Duration(float64(b+1) * bucketNs))
-			l, h := lo, hi
-			if l < bs {
-				l = bs
-			}
-			if h > be {
-				h = be
-			}
-			weight := float64(h - l)
-			if weight <= 0 {
-				weight = 1 // instant markers still claim their bucket
-			}
-			if s.Cat.Activity() {
-				grid[s.Core][b].act[s.Cat] += weight
-			} else {
-				grid[s.Core][b].overlay[s.Cat] += weight
-				haveOverlay = true
-			}
-		}
-	}
+	act, over := strips(spans, cores, from, to, width)
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "core gantt %v → %v  (#=app r=runtime K=kernel s=switch .=idle | g=gate w=wrpkru u=uintr !=watchdog R=restart)\n",
 		from, to)
-	for c := 0; c < cores; c++ {
-		var strip, over []byte
-		for b := 0; b < width; b++ {
-			best, bestV := CatIdle, 0.0
-			for k := Category(0); k <= CatSwitch; k++ {
-				if grid[c][b].act[k] > bestV {
-					bestV = grid[c][b].act[k]
-					best = k
-				}
-			}
-			strip = append(strip, ganttGlyph(best))
-			oBest, oBestV := Category(0), 0.0
-			for k := CatGate; k < NumCategories; k++ {
-				if grid[c][b].overlay[k] > oBestV {
-					oBestV = grid[c][b].overlay[k]
-					oBest = k
-				}
-			}
-			if oBestV > 0 {
-				over = append(over, ganttGlyph(oBest))
-			} else {
-				over = append(over, ' ')
-			}
-		}
-		fmt.Fprintf(bw, "core %2d |%s|\n", c, strip)
-		if haveOverlay {
-			fmt.Fprintf(bw, "        |%s|\n", over)
+	for c := range act {
+		fmt.Fprintf(bw, "core %2d |%s|\n", c, act[c])
+		if over != nil {
+			fmt.Fprintf(bw, "        |%s|\n", over[c])
 		}
 	}
 	return bw.Flush()

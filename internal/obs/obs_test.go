@@ -248,6 +248,9 @@ func TestChromeTraceValidates(t *testing.T) {
 	if strings.Contains(out, "idle") {
 		t.Fatalf("idle span exported:\n%s", out)
 	}
+	if !strings.Contains(out, `"name":"mc (app)"`) || !strings.Contains(out, `"dur":1,`) {
+		t.Fatalf("app span missing or not in µs:\n%s", out)
+	}
 	if err := ValidateChromeTrace(strings.NewReader(out)); err != nil {
 		t.Fatalf("own export fails validation: %v", err)
 	}
@@ -262,6 +265,37 @@ func TestChromeTraceValidates(t *testing.T) {
 		if err := ValidateChromeTrace(strings.NewReader(bad)); err == nil {
 			t.Fatalf("validator accepted %s", bad)
 		}
+	}
+}
+
+// TestWriteChromeJSON checks the span-slice exporter directly: the
+// traceEvents envelope, "name (category)" labels, idle spans left out even
+// on a core of their own, and sub-microsecond durations kept as fractions.
+func TestWriteChromeJSON(t *testing.T) {
+	spans := []Span{
+		{Core: 0, Start: 0, End: 500, Cat: CatApp, Name: "mc"},
+		{Core: 0, Start: 500, End: 600, Cat: CatSwitch},
+		{Core: 1, Start: 0, End: 600, Cat: CatIdle},
+	}
+	var buf strings.Builder
+	if err := WriteChromeTrace(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, `"traceEvents"`) {
+		t.Fatal("missing traceEvents envelope")
+	}
+	if !strings.Contains(out, `"mc (app)"`) {
+		t.Fatalf("app span missing: %s", out)
+	}
+	if strings.Contains(out, `"idle"`) {
+		t.Fatal("idle spans must be omitted")
+	}
+	if !strings.Contains(out, `"dur":0.5`) { // 500ns = 0.5µs
+		t.Fatalf("duration units wrong: %s", out)
+	}
+	if err := ValidateChromeTrace(strings.NewReader(out)); err != nil {
+		t.Fatalf("export fails validation: %v", err)
 	}
 }
 
@@ -285,6 +319,69 @@ func TestGanttRenders(t *testing.T) {
 	}
 	if err := WriteGantt(&buf, nil, 0, 0, 20); err == nil {
 		t.Fatal("empty gantt did not error")
+	}
+}
+
+// TestStripRendering pins the per-core strip renderer behind both Render
+// (the Figure 7 exhibit) and WriteGantt: each character is the dominant
+// activity of its bucket, spans are clipped to the window, and overlay
+// spans never change the activity strip.
+func TestStripRendering(t *testing.T) {
+	cases := []struct {
+		name     string
+		spans    []Span
+		from, to sim.Time
+		width    int
+		want     string // core 0's activity strip
+	}{
+		{"half app then idle", []Span{
+			{Core: 0, Start: 0, End: 500, Cat: CatApp, Name: "mc"},
+			{Core: 0, Start: 500, End: 1000, Cat: CatIdle},
+		}, 0, 1000, 10, "#####....."},
+		{"dominant kind wins the bucket", []Span{
+			{Core: 0, Start: 0, End: 70, Cat: CatKernel},
+			{Core: 0, Start: 70, End: 100, Cat: CatApp},
+		}, 0, 100, 1, "K"},
+		{"window inside a span", []Span{
+			{Core: 0, Start: 0, End: 1000, Cat: CatApp},
+		}, 200, 800, 6, "######"},
+		{"window past every span", []Span{
+			{Core: 0, Start: 0, End: 1000, Cat: CatApp},
+		}, 2000, 3000, 4, "...."},
+		{"overlay leaves activity alone", []Span{
+			{Core: 0, Start: 0, End: 1000, Cat: CatSwitch},
+			{Core: 0, Start: 0, End: 1000, Cat: CatUintr, Name: "uintr.deferred"},
+		}, 0, 1000, 4, "ssss"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			line := "core  0 |" + tc.want + "|\n"
+			out := Render(tc.spans, 2, tc.from, tc.to, tc.width)
+			if !strings.HasPrefix(out, "core timelines ") || !strings.Contains(out, "#=app") {
+				t.Fatalf("render header/legend:\n%s", out)
+			}
+			if !strings.Contains(out, line) {
+				t.Fatalf("render = \n%s\nwant line %q", out, line)
+			}
+			// Core 1 recorded nothing: it renders idle.
+			if idle := "core  1 |" + strings.Repeat(".", tc.width) + "|\n"; !strings.HasSuffix(out, idle) {
+				t.Fatalf("render = \n%s\nwant last line %q", out, idle)
+			}
+			var buf bytes.Buffer
+			if err := WriteGantt(&buf, tc.spans, tc.from, tc.to, tc.width); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), line) {
+				t.Fatalf("gantt = \n%s\nwant line %q", buf.String(), line)
+			}
+		})
+	}
+	// A degenerate width or window renders the header alone.
+	spans := cases[0].spans
+	for _, out := range []string{Render(spans, 1, 0, 1000, 0), Render(spans, 1, 100, 100, 5)} {
+		if strings.Count(out, "\n") != 1 {
+			t.Fatalf("degenerate render:\n%s", out)
+		}
 	}
 }
 

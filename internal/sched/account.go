@@ -4,7 +4,6 @@ import (
 	"vessel/internal/obs"
 	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
-	"vessel/internal/trace"
 )
 
 // Activity classifies what a core is doing, for the cycle breakdown.
@@ -17,22 +16,6 @@ const (
 	ActKernel
 	ActSwitch
 )
-
-// kindOf maps an Activity to its trace segment kind.
-func kindOf(act Activity) trace.Kind {
-	switch act {
-	case ActApp:
-		return trace.App
-	case ActRuntime:
-		return trace.Runtime
-	case ActKernel:
-		return trace.Kernel
-	case ActSwitch:
-		return trace.Switch
-	default:
-		return trace.Idle
-	}
-}
 
 // CatOf maps an Activity to its obs category. The two enums share ordering
 // by construction — obs.CatIdle..obs.CatSwitch mirror ActIdle..ActSwitch —
@@ -52,9 +35,8 @@ var (
 )
 
 // Accountant accrues per-activity core time clipped to the measurement
-// window [From, To]. When Trace is set, every accrued span is also
-// recorded as a timeline segment; when Obs is set, it is also recorded as
-// an observability span (unclipped, for the timeline) and charged to the
+// window [From, To]. When Obs is set, every accrued span is also recorded
+// as an observability span (unclipped, for the timeline) and charged to the
 // cycle-attribution profiler (clipped, so the profile's activity buckets
 // exactly partition the measured interval — the conservation oracle in
 // internal/conformance depends on every breakdown accrual passing through
@@ -62,7 +44,6 @@ var (
 type Accountant struct {
 	From, To  sim.Time
 	Breakdown CycleBreakdown
-	Trace     *trace.Recorder
 	Obs       *obs.Observer
 	// Journey, when set, receives every switch accrual as a flight-
 	// recorder event — the scheduler wakeup→run edges of the causal
@@ -75,9 +56,6 @@ func (a *Accountant) AccrueCore(core int, act Activity, t0, t1 sim.Time, label s
 	a.Accrue(act, t0, t1)
 	if t1 <= t0 {
 		return
-	}
-	if a.Trace != nil {
-		a.Trace.Add(core, t0, t1, kindOf(act), label)
 	}
 	if a.Obs != nil {
 		cat := CatOf(act)

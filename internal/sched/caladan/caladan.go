@@ -132,7 +132,7 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		lWork:  make(map[*workload.App]sim.Duration),
 	}
 	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
-	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Trace: cfg.Trace, Obs: cfg.Obs, Journey: cfg.Journey}
+	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Obs: cfg.Obs, Journey: cfg.Journey}
 	if cfg.BWTargetFrac > 0 {
 		r.bwCap = cfg.BWTargetFrac * cfg.Costs.MemBWTotal
 	}

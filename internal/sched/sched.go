@@ -17,7 +17,6 @@ import (
 	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
 	"vessel/internal/stats"
-	"vessel/internal/trace"
 	"vessel/internal/workload"
 )
 
@@ -34,9 +33,6 @@ type Config struct {
 	// B-apps' memory bandwidth consumption to that fraction of machine
 	// bandwidth (Figure 13).
 	BWTargetFrac float64
-	// Trace, when non-nil, records per-core execution segments for
-	// Figure 7-style timeline rendering.
-	Trace *trace.Recorder
 	// Obs, when non-nil, enables the deterministic observability layer:
 	// span timelines, cycle-attribution profiling, and the metrics
 	// registry (internal/obs). Nil means fully disabled.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"vessel/internal/cpu"
+	"vessel/internal/failsafe"
 	"vessel/internal/faultinject"
 	"vessel/internal/mpk"
 	"vessel/internal/obs"
@@ -103,7 +104,7 @@ type workerSpec struct {
 type domainState struct {
 	id       int
 	mg       *vessel.Manager
-	failsafe *Failsafe
+	failsafe *failsafe.Failsafe[vessel.PolicyView, vessel.PolicyDecision]
 	injector *faultinject.Injector
 	workers  []workerSpec
 	// lastAlive is the last instant any core of the domain beat — the
@@ -188,7 +189,16 @@ func (c *Cluster) Engine() *sim.Engine { return c.eng }
 func (c *Cluster) Manager(domain int) *vessel.Manager { return c.domains[domain].mg }
 
 // Failsafe returns a domain's failsafe policy wrapper.
-func (c *Cluster) Failsafe(domain int) *Failsafe { return c.domains[domain].failsafe }
+func (c *Cluster) Failsafe(domain int) *failsafe.Failsafe[vessel.PolicyView, vessel.PolicyDecision] {
+	return c.domains[domain].failsafe
+}
+
+// NewFailsafe wraps primary (nil selects round-robin) with the round-robin
+// fallback and the given per-decision cycle budget (0 disables the budget
+// check).
+func NewFailsafe(primary vessel.Policy, budgetCycles int64) *failsafe.Failsafe[vessel.PolicyView, vessel.PolicyDecision] {
+	return failsafe.New[vessel.PolicyView, vessel.PolicyDecision](primary, vessel.RoundRobinPolicy{}, budgetCycles)
+}
 
 // AttachObs installs an observer for the cluster's recovery overlays
 // (fence/recover/failsafe spans, MTTR observations). Cores are numbered

@@ -1,3 +1,9 @@
+// Package trace is the containment and chaos event log: a bounded,
+// race-safe stream of named events in virtual time (injections, contained
+// faults, watchdog kills, restarts, reclaims). Same-seed runs produce
+// byte-identical logs, which makes the log the determinism witness of the
+// fault-injection harness. Per-core execution timelines live in
+// internal/obs.
 package trace
 
 import (

@@ -218,7 +218,7 @@ type ChaosConfig struct {
 	Quantum int
 	// Policy decides preemption per core per quantum; nil defaults to
 	// RoundRobinPolicy, the historical behaviour. Wrap it in a
-	// selfheal.Failsafe to survive policy panics and budget blowouts.
+	// selfheal.NewFailsafe to survive policy panics and budget blowouts.
 	Policy Policy
 }
 

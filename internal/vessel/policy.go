@@ -33,6 +33,15 @@ type PolicyDecision struct {
 	CostCycles int64
 }
 
+// Cost returns CostCycles, for the failsafe's budget check.
+func (d PolicyDecision) Cost() int64 { return d.CostCycles }
+
+// Charge returns the decision with cycles added to its cost.
+func (d PolicyDecision) Charge(cycles int64) PolicyDecision {
+	d.CostCycles += cycles
+	return d
+}
+
 // Policy decides preemption per core per quantum.
 type Policy interface {
 	Name() string

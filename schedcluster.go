@@ -70,7 +70,7 @@ type ScheduledCluster struct {
 	cfg      SchedClusterConfig
 	eng      *sim.Engine
 	sched    *clustersched.Sched
-	failsafe *clustersched.Failsafe
+	failsafe *ClusterFailsafe
 	managers []*Manager
 	clients  []clustersched.Client
 	tracers  []*journey.Tracer
