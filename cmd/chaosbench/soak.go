@@ -140,26 +140,26 @@ func soakSeed(planSeed uint64) (soakSeedResult, error) {
 // declaration order and the one map is sorted by encoding/json, so the
 // file is byte-deterministic for a given sweep.
 type soakBench struct {
-	Bench          string           `json:"bench"`
-	FirstSeed      uint64           `json:"first_seed"`
-	Seeds          int              `json:"seeds"`
-	Steps          int              `json:"steps"`
-	Quantum        int              `json:"quantum"`
-	Domains        int              `json:"domains"`
-	CoresPerDomain int              `json:"cores_per_domain"`
-	Fences         int              `json:"fences"`
-	DomainRestarts int              `json:"domain_restarts"`
-	PolicySwaps    int              `json:"policy_swaps"`
-	PkeysHealed    int              `json:"pkeys_healed"`
-	EventsCancel   int              `json:"events_cancelled"`
-	MTTRSamples    uint64           `json:"mttr_samples"`
-	MTTRMaxNs      int64            `json:"mttr_max_ns"`
-	MTTRP99Ns      int64            `json:"mttr_p99_ns"`
-	MTTRBudgetNs   int64            `json:"mttr_budget_ns"`
-	Violations     int              `json:"violations"`
-	DeterminismOK  bool             `json:"determinism_ok"`
+	Bench          string            `json:"bench"`
+	FirstSeed      uint64            `json:"first_seed"`
+	Seeds          int               `json:"seeds"`
+	Steps          int               `json:"steps"`
+	Quantum        int               `json:"quantum"`
+	Domains        int               `json:"domains"`
+	CoresPerDomain int               `json:"cores_per_domain"`
+	Fences         int               `json:"fences"`
+	DomainRestarts int               `json:"domain_restarts"`
+	PolicySwaps    int               `json:"policy_swaps"`
+	PkeysHealed    int               `json:"pkeys_healed"`
+	EventsCancel   int               `json:"events_cancelled"`
+	MTTRSamples    uint64            `json:"mttr_samples"`
+	MTTRMaxNs      int64             `json:"mttr_max_ns"`
+	MTTRP99Ns      int64             `json:"mttr_p99_ns"`
+	MTTRBudgetNs   int64             `json:"mttr_budget_ns"`
+	Violations     int               `json:"violations"`
+	DeterminismOK  bool              `json:"determinism_ok"`
 	KindsFired     map[string]uint64 `json:"kinds_fired"`
-	Pass           bool             `json:"pass"`
+	Pass           bool              `json:"pass"`
 }
 
 func soakMain() {

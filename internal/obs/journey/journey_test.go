@@ -190,8 +190,8 @@ func TestSLOWindows(t *testing.T) {
 		j := tr.Mint("req", arrive)
 		j.Finish(done)
 	}
-	finish(us(1), us(2))  // 1µs: good, window 0
-	finish(us(3), us(8))  // 5µs: bad, window 0
+	finish(us(1), us(2))   // 1µs: good, window 0
+	finish(us(3), us(8))   // 5µs: bad, window 0
 	finish(us(11), us(12)) // good, window 1
 	if g, b := tr.SLOCounts(); g != 2 || b != 1 {
 		t.Fatalf("SLO counts good=%d bad=%d", g, b)

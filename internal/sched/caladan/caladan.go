@@ -89,6 +89,12 @@ type core struct {
 	// this core over, so the first request served afterwards can
 	// attribute that crossing to its journey's gate segment.
 	grantD sim.Duration
+	// cur is the request in service since from.
+	cur  *workload.Request
+	from sim.Time
+	// finish and pollDone end a request and a steal window; bound once
+	// per core so scheduling either allocates nothing.
+	finish, pollDone func()
 }
 
 type run struct {
@@ -144,39 +150,35 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		}
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		r.cores = append(r.cores, &core{id: i, mode: modeFree, act: sched.ActIdle})
+		c := &core{id: i, mode: modeFree, act: sched.ActIdle}
+		c.finish = func() { r.finishL(c) }
+		c.pollDone = func() {
+			c.pollEnd = sim.Event{}
+			r.parkCore(c)
+		}
+		r.cores = append(r.cores, c)
 	}
 	// Every packet traverses the IOKernel before it reaches an
 	// application queue — the single-server control plane whose
 	// saturation caps Caladan at ~34 cores (Figure 12).
-	ctrl := cfg.Costs.CaladanCtrlFor(cfg.Cores)
-	var ctrlFree sim.Time
+	ctrlCost := cfg.Costs.CaladanCtrlFor(cfg.Cores)
+	ctrl := sched.NewCtrlPlane(r.eng, ctrlCost)
 	for _, a := range r.lApps {
 		app := a
+		lane := ctrl.Lane(app, func(req *workload.Request) {
+			req.J.To(journey.SegQueue, r.eng.Now())
+			r.onArrival(app)
+		})
 		if err := app.GenerateArrivals(r.eng, r.rng.Fork(uint64(len(app.Name))+13), r.endAt, func(req *workload.Request) {
 			req.J = cfg.Journey.Mint(app.Name, req.Arrive)
-			if ctrl <= 0 {
+			if ctrlCost <= 0 {
 				r.onArrival(app)
 				return
 			}
-			stolen := app.StealNewest()
-			now := r.eng.Now()
 			// The packet is inside the IOKernel until the control-plane
 			// server forwards it: dataplane time on the journey.
-			req.J.To(journey.SegData, now)
-			start := now
-			if ctrlFree > start {
-				start = ctrlFree
-			}
-			done := start.Add(ctrl)
-			ctrlFree = done
-			r.eng.At(done, func() {
-				if stolen != nil {
-					app.Requeue(stolen)
-				}
-				req.J.To(journey.SegQueue, r.eng.Now())
-				r.onArrival(app)
-			})
+			req.J.To(journey.SegData, r.eng.Now())
+			lane.Submit()
 		}); err != nil {
 			return sched.Result{}, err
 		}
@@ -240,17 +242,23 @@ func (r *run) serveL(c *core, app *workload.App) {
 	req.J.To(journey.SegRun, now)
 	c.mode = modeServeL
 	r.setAct(c, sched.ActApp)
+	c.cur, c.from = req, now
 	dur := sim.Duration(float64(req.Service)*r.bw.Inflation()) + r.bw.StallNoise(r.rng)
-	r.eng.After(dur, func() {
-		req.Done = r.eng.Now()
-		req.J.Finish(req.Done)
-		app.Complete(req, sim.Time(r.cfg.Warmup))
-		r.lWork[app] += r.acct.Clip(now, r.eng.Now())
-		if r.eng.Now() >= r.endAt {
-			return
-		}
-		r.serveL(c, app)
-	})
+	r.eng.After(dur, c.finish)
+}
+
+// finishL completes c.cur and serves the owner's next request.
+func (r *run) finishL(c *core) {
+	req, app := c.cur, c.owner
+	c.cur = nil
+	req.Done = r.eng.Now()
+	req.J.Finish(req.Done)
+	app.Complete(req, sim.Time(r.cfg.Warmup))
+	r.lWork[app] += r.acct.Clip(c.from, r.eng.Now())
+	if r.eng.Now() >= r.endAt {
+		return
+	}
+	r.serveL(c, app)
 }
 
 // startPolling begins the 2 µs steal window: the core spins inside its app
@@ -258,10 +266,7 @@ func (r *run) serveL(c *core, app *workload.App) {
 func (r *run) startPolling(c *core, app *workload.App) {
 	c.mode = modePollL
 	r.setAct(c, sched.ActRuntime)
-	c.pollEnd = r.eng.After(r.cfg.Costs.CaladanStealWin, func() {
-		c.pollEnd = sim.Event{}
-		r.parkCore(c)
-	})
+	c.pollEnd = r.eng.After(r.cfg.Costs.CaladanStealWin, c.pollDone)
 }
 
 // parkCore executes the voluntary yield: a kernel crossing, after which the

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := NewEngine()
@@ -61,5 +64,50 @@ func BenchmarkRNGLogNormal(b *testing.B) {
 	r := NewRNG(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.LogNormal(9.9, 0.85)
+	}
+}
+
+// BenchmarkEngineDepth holds the queue at a fixed depth and times one
+// operation pair per iteration: At+Step fires the earliest event and
+// schedules its replacement; At+Cancel cancels the oldest pending event
+// and schedules a new one. Delays are pseudo-random in [1, 10000) ns, so
+// new events land throughout the heap rather than always at its bottom.
+func BenchmarkEngineDepth(b *testing.B) {
+	ds := make([]Duration, 4096)
+	x := uint64(1)
+	for i := range ds {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		ds[i] = Duration(1 + x%9999)
+	}
+	fn := func() {}
+	for _, depth := range []int{16, 256, 4096, 65536} {
+		b.Run(fmt.Sprintf("%d/step", depth), func(b *testing.B) {
+			e := NewEngine()
+			for i := 0; i < depth; i++ {
+				e.After(ds[i%len(ds)], fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.After(ds[i%len(ds)], fn)
+				e.Step()
+			}
+		})
+		b.Run(fmt.Sprintf("%d/cancel", depth), func(b *testing.B) {
+			e := NewEngine()
+			ring := make([]Event, depth)
+			for i := range ring {
+				ring[i] = e.After(ds[i%len(ds)], fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slot := i % depth
+				e.Cancel(ring[slot])
+				ring[slot] = e.After(ds[i%len(ds)], fn)
+			}
+		})
 	}
 }

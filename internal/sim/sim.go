@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -66,10 +65,10 @@ func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 // detect that their event is gone.
 type event struct {
 	at     Time
-	seq    uint64
-	gen    uint32
-	index  int // heap index; -1 once fired or cancelled
 	fn     func()
+	gen    uint32
+	id     int32 // index into Engine.events and Engine.pos
+	queued bool  // in the heap: neither fired nor cancelled
 	cancel bool
 }
 
@@ -102,7 +101,7 @@ func (h Event) Cancelled() bool {
 // Pending reports whether the event is still scheduled to fire: it has
 // neither fired nor been cancelled, and the handle has not expired.
 func (h Event) Pending() bool {
-	return h.e != nil && h.e.gen == h.gen && !h.e.cancel && h.e.index >= 0
+	return h.e != nil && h.e.gen == h.gen && !h.e.cancel && h.e.queued
 }
 
 // Engine is a discrete-event scheduler over virtual time.
@@ -112,13 +111,22 @@ func (h Event) Pending() bool {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   []entry // 4-ary min-heap on (at, seq)
 	stopped bool
 	fired   uint64
-	// free holds fired/cancelled events awaiting reuse, so steady-state
-	// scheduling allocates nothing. Reuse bumps the event's gen, expiring
-	// any handles still pointing at it.
-	free []*event
+	// events holds every event the engine has created, by id; pos[id] is
+	// that event's heap slot while it is queued. Heap slots name events by
+	// id rather than by pointer, so the heap holds no pointers: sifting
+	// needs no GC write barriers and the collector never scans it.
+	events []*event
+	pos    []int32
+	// spare is the unused tail of the block new events are carved from,
+	// so creating events costs one allocation per block, not per event.
+	spare []event
+	// free holds the ids of fired/cancelled events awaiting reuse, so
+	// steady-state scheduling allocates nothing. Reuse bumps the event's
+	// gen, expiring any handles still pointing at it.
+	free []int32
 	// hwPending is the deepest the event queue has ever been — a cheap
 	// health signal the observability layer surfaces per run.
 	hwPending int
@@ -147,23 +155,39 @@ func (e *Engine) At(t Time, fn func()) Event {
 	}
 	var ev *event
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		ev = e.events[e.free[n-1]]
 		e.free = e.free[:n-1]
 		ev.gen++
 		ev.cancel = false
 	} else {
-		ev = &event{}
+		ev = e.newEvent()
 	}
 	ev.at = t
-	ev.seq = e.seq
 	ev.fn = fn
+	ev.queued = true
+	e.queue = append(e.queue, entry{at: t, seq: e.seq, id: ev.id})
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.up(len(e.queue) - 1)
 	if len(e.queue) > e.hwPending {
 		e.hwPending = len(e.queue)
 	}
 	return Event{e: ev, gen: ev.gen}
+}
+
+// eventBlock is how many events newEvent allocates at once.
+const eventBlock = 256
+
+// newEvent creates an event with the next id.
+func (e *Engine) newEvent() *event {
+	if len(e.spare) == 0 {
+		e.spare = make([]event, eventBlock)
+	}
+	ev := &e.spare[0]
+	e.spare = e.spare[1:]
+	ev.id = int32(len(e.events))
+	e.events = append(e.events, ev)
+	e.pos = append(e.pos, -1)
+	return ev
 }
 
 // HighWaterPending returns the maximum number of simultaneously scheduled
@@ -187,15 +211,15 @@ func (e *Engine) Cancel(h Event) {
 	if ev == nil || ev.gen != h.gen {
 		return
 	}
-	if ev.cancel || ev.index < 0 {
+	if ev.cancel || !ev.queued {
 		ev.cancel = true
 		return
 	}
 	ev.cancel = true
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
+	ev.queued = false
+	e.remove(int(e.pos[ev.id]))
 	ev.fn = nil
-	e.free = append(e.free, ev)
+	e.free = append(e.free, ev.id)
 }
 
 // Step executes the next pending event, advancing the clock to its time.
@@ -204,8 +228,9 @@ func (e *Engine) Step() bool {
 	if e.stopped || len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
-	ev.index = -1
+	ev := e.events[e.queue[0].id]
+	e.remove(0)
+	ev.queued = false
 	if ev.at < e.now {
 		panic("sim: event heap out of order")
 	}
@@ -217,7 +242,7 @@ func (e *Engine) Step() bool {
 	// it calls) may still query handles to this event; once we are back,
 	// the event is history and its storage can serve the next At.
 	ev.fn = nil
-	e.free = append(e.free, ev)
+	e.free = append(e.free, ev.id)
 	return true
 }
 
@@ -252,31 +277,83 @@ func (e *Engine) Stop() { e.stopped = true }
 // MaxTime is the largest representable virtual time.
 const MaxTime = Time(math.MaxInt64)
 
-// eventHeap is a min-heap on (at, seq).
-type eventHeap []*event
+// entry is one slot of the event heap. The ordering key (at, seq) lives in
+// the slot itself, so sifting compares without touching the event; seq is
+// unique, which makes the order total and the firing sequence independent
+// of the heap's shape.
+type entry struct {
+	at  Time
+	seq uint64
+	id  int32
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *entry) less(b *entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// The queue is a 4-ary heap: children of slot i are 4i+1..4i+4. Against a
+// binary heap it halves the depth, and a node's four children share a
+// cache line or two.
+const arity = 4
+
+// up restores the heap property from slot i towards the root.
+func (e *Engine) up(i int) {
+	q := e.queue
+	x := q[i]
+	for i > 0 {
+		p := (i - 1) / arity
+		if !x.less(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		e.pos[q[i].id] = int32(i)
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = x
+	e.pos[x.id] = int32(i)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down restores the heap property from slot i towards the leaves.
+func (e *Engine) down(i int) {
+	q := e.queue
+	n := len(q)
+	x := q[i]
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := min(c+arity, n)
+		for j := c + 1; j < end; j++ {
+			if q[j].less(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].less(&x) {
+			break
+		}
+		q[i] = q[m]
+		e.pos[q[i].id] = int32(i)
+		i = m
+	}
+	q[i] = x
+	e.pos[x.id] = int32(i)
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// remove deletes slot i, filling the hole with the last slot and sifting
+// it whichever way the heap property needs.
+func (e *Engine) remove(i int) {
+	n := len(e.queue) - 1
+	last := e.queue[n]
+	e.queue = e.queue[:n]
+	if i == n {
+		return
+	}
+	e.queue[i] = last
+	if i > 0 && last.less(&e.queue[(i-1)/arity]) {
+		e.up(i)
+	} else {
+		e.down(i)
+	}
 }

@@ -43,11 +43,11 @@ func (e Event) String() string {
 // fingerprints should only be taken from single-threaded
 // (simulation-driven) logs.
 type EventLog struct {
-	mu      sync.Mutex
-	max     int
-	ring    bool
-	start   int // ring mode: index of the logically first event
-	events  []Event
+	mu          sync.Mutex
+	max         int
+	ring        bool
+	start       int // ring mode: index of the logically first event
+	events      []Event
 	dropped     uint64
 	overwritten uint64
 }

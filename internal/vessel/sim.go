@@ -46,6 +46,9 @@ type coreState struct {
 	reqEv     sim.Event
 	reqFrom   sim.Time
 	reqInflat float64
+	// finish is the core's request-completion callback, bound once so
+	// scheduling a completion allocates nothing.
+	finish func()
 
 	act   sched.Activity
 	lastT sim.Time
@@ -105,6 +108,7 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		c := &coreState{id: i, act: sched.ActIdle}
+		c.finish = func() { r.finishRequest(c) }
 		// Every L-app has a worker thread resident on every core.
 		c.fifo = append(c.fifo, r.lApps...)
 		r.cores = append(r.cores, c)
@@ -118,33 +122,21 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 	// Arrival processes. Every request's dispatch signal crosses the
 	// domain scheduler — a single FIFO control-plane server whose
 	// saturation caps core scalability (Figure 12).
-	ctrl := cfg.Costs.VesselCtrlFor(cfg.Cores)
-	var ctrlFree sim.Time
+	ctrlCost := cfg.Costs.VesselCtrlFor(cfg.Cores)
+	ctrl := sched.NewCtrlPlane(r.eng, ctrlCost)
 	for _, a := range r.lApps {
 		app := a
+		lane := ctrl.Lane(app, func(*workload.Request) { r.onArrival(app) })
 		if err := app.GenerateArrivals(r.eng, r.rng.Fork(uint64(len(app.Name))+7), r.endAt, func(req *workload.Request) {
 			// Mint the request's journey at arrival; the control-plane
-			// dispatch delay below counts as queueing (the request is
-			// waiting for the scheduler to learn about it).
+			// dispatch delay counts as queueing (the request is waiting
+			// for the scheduler to learn about it).
 			req.J = cfg.Journey.Mint(app.Name, req.Arrive)
-			if ctrl <= 0 {
+			if ctrlCost <= 0 {
 				r.onArrival(app)
 				return
 			}
-			stolen := app.StealNewest()
-			now := r.eng.Now()
-			start := now
-			if ctrlFree > start {
-				start = ctrlFree
-			}
-			done := start.Add(ctrl)
-			ctrlFree = done
-			r.eng.At(done, func() {
-				if stolen != nil {
-					app.Requeue(stolen)
-				}
-				r.onArrival(app)
-			})
+			lane.Submit()
 		}); err != nil {
 			return sched.Result{}, err
 		}
@@ -391,17 +383,22 @@ func (r *vesselRun) startRequest(c *coreState, app *workload.App, req *workload.
 	req.J.To(journey.SegRun, now)
 	r.setAct(c, sched.ActApp)
 	dur := sim.Duration(float64(req.Remaining)*c.reqInflat) + r.bw.StallNoise(r.rng)
-	c.reqEv = r.eng.After(dur, func() {
-		c.reqEv = sim.Event{}
-		c.curReq = nil
-		req.Remaining = 0
-		req.Done = r.eng.Now()
-		req.J.Finish(req.Done)
-		app.Complete(req, sim.Time(r.cfg.Warmup))
-		r.lWork[app] += r.acct.Clip(now, r.eng.Now())
-		c.busy = false
-		r.serveNext(c)
-	})
+	c.reqEv = r.eng.After(dur, c.finish)
+}
+
+// finishRequest completes the core's in-flight request: c.curReq of app
+// c.runningL, started at c.reqFrom.
+func (r *vesselRun) finishRequest(c *coreState) {
+	req, app := c.curReq, c.runningL
+	c.reqEv = sim.Event{}
+	c.curReq = nil
+	req.Remaining = 0
+	req.Done = r.eng.Now()
+	req.J.Finish(req.Done)
+	app.Complete(req, sim.Time(r.cfg.Warmup))
+	r.lWork[app] += r.acct.Clip(c.reqFrom, r.eng.Now())
+	c.busy = false
+	r.serveNext(c)
 }
 
 // preemptL interrupts a core serving a lower-priority L request (§4.4:

@@ -153,8 +153,13 @@ type App struct {
 	BWDemand float64
 	MemFrac  float64
 
-	// Queue is the pending-request FIFO the scheduler serves.
+	// Queue is the pending-request FIFO the scheduler serves, oldest
+	// first. Use the methods to change it; reading len(Queue) and
+	// Queue[0] directly is fine.
 	Queue []*Request
+	// qbuf is Queue's whole backing array from slot 0, so push can
+	// reclaim the slots Dequeue leaves behind.
+	qbuf []*Request
 
 	// Accounting.
 	Offered    uint64
@@ -199,6 +204,25 @@ func (a *App) AvgBW() float64 { return a.BWDemand * a.MemFrac }
 // Enqueue appends an arrived request.
 func (a *App) Enqueue(r *Request) {
 	a.Offered++
+	a.push(r)
+}
+
+// push appends r to Queue. Dequeue advances Queue through its backing
+// array, so once Queue reaches the array's end the slots before it are
+// dead; when more than half the array is dead, push slides the live
+// requests down to its start instead of letting append regrow it. A
+// steady enqueue/dequeue cycle therefore reuses one array.
+func (a *App) push(r *Request) {
+	if n := len(a.Queue); n == cap(a.Queue) {
+		if 2*n >= cap(a.qbuf) {
+			a.Queue = append(a.Queue, r)
+			a.qbuf = a.Queue[:0]
+			return
+		}
+		copy(a.qbuf[:n], a.Queue)
+		clear(a.qbuf[n:cap(a.qbuf)])
+		a.Queue = a.qbuf[:n]
+	}
 	a.Queue = append(a.Queue, r)
 }
 
@@ -209,20 +233,32 @@ func (a *App) StealNewest() *Request {
 	if len(a.Queue) == 0 {
 		return nil
 	}
-	r := a.Queue[len(a.Queue)-1]
-	a.Queue = a.Queue[:len(a.Queue)-1]
+	n := len(a.Queue) - 1
+	r := a.Queue[n]
+	a.Queue[n] = nil
+	a.Queue = a.Queue[:n]
 	return r
 }
 
 // Requeue re-inserts a stolen request without recounting it as offered.
 func (a *App) Requeue(r *Request) {
-	a.Queue = append(a.Queue, r)
+	a.push(r)
 }
 
 // RequeueFront re-inserts a preempted in-flight request at the head of the
-// queue so it resumes before younger requests.
+// queue so it resumes before younger requests. It reuses the slot the
+// last Dequeue freed when there is one.
 func (a *App) RequeueFront(r *Request) {
-	a.Queue = append([]*Request{r}, a.Queue...)
+	// Queue starts off slots into qbuf; the address check guards against
+	// a Queue assigned directly rather than through these methods.
+	if off := cap(a.qbuf) - cap(a.Queue); len(a.Queue) > 0 && off > 0 && &a.qbuf[:off+1][off] == &a.Queue[0] {
+		a.Queue = a.qbuf[off-1 : off+len(a.Queue)]
+		a.Queue[0] = r
+		return
+	}
+	a.push(nil)
+	copy(a.Queue[1:], a.Queue)
+	a.Queue[0] = r
 }
 
 // Dequeue pops the oldest pending request, or nil.
@@ -231,6 +267,7 @@ func (a *App) Dequeue() *Request {
 		return nil
 	}
 	r := a.Queue[0]
+	a.Queue[0] = nil
 	a.Queue = a.Queue[1:]
 	return r
 }
@@ -304,30 +341,31 @@ func (a *App) GenerateArrivals(eng *sim.Engine, rng *sim.RNG, until sim.Time, on
 	}
 	nextPhase(0)
 
-	var schedule func(at sim.Time)
-	schedule = func(at sim.Time) {
-		if at > until {
-			return
+	// One callback serves every arrival: it draws the next gap and
+	// reschedules itself, so the process allocates only its Requests.
+	var arrive func()
+	arrive = func() {
+		now := eng.Now()
+		for a.Burst != nil && now >= phaseEnd {
+			nextPhase(phaseEnd)
 		}
-		eng.At(at, func() {
-			now := eng.Now()
-			for a.Burst != nil && now >= phaseEnd {
-				nextPhase(phaseEnd)
-			}
-			svc := a.Dist.Sample(services)
-			r := &Request{App: a, Arrive: now, Service: svc, Remaining: svc}
-			a.Enqueue(r)
-			if onArrival != nil {
-				onArrival(r)
-			}
-			gap := sim.Duration(float64(arrivals.Exp(baseGap)) / factor)
-			if gap < 1 {
-				gap = 1
-			}
-			schedule(now.Add(gap))
-		})
+		svc := a.Dist.Sample(services)
+		r := &Request{App: a, Arrive: now, Service: svc, Remaining: svc}
+		a.Enqueue(r)
+		if onArrival != nil {
+			onArrival(r)
+		}
+		gap := sim.Duration(float64(arrivals.Exp(baseGap)) / factor)
+		if gap < 1 {
+			gap = 1
+		}
+		if next := now.Add(gap); next <= until {
+			eng.At(next, arrive)
+		}
 	}
-	schedule(sim.Time(arrivals.Exp(baseGap)))
+	if first := sim.Time(arrivals.Exp(baseGap)); first <= until {
+		eng.At(first, arrive)
+	}
 	return nil
 }
 
