@@ -21,7 +21,6 @@ import (
 	"vessel/internal/obs/journey"
 	"vessel/internal/sched"
 	"vessel/internal/sim"
-	"vessel/internal/stats"
 	"vessel/internal/workload"
 )
 
@@ -31,16 +30,14 @@ type Simulator struct{}
 // Name returns "VESSEL".
 func (Simulator) Name() string { return "VESSEL" }
 
-// coreState is a worker core in the layer-2 model.
+// coreState is a worker core in the layer-2 model. Its sched.Core Owner
+// is the L or B app whose thread holds it.
 type coreState struct {
-	id int
+	sched.Core
 	// fifo is the per-core FIFO of resident L-app worker threads,
 	// rotated on every park (§4.5).
 	fifo []*workload.App
-	// runningL/runningB describe the current occupant.
-	runningL *workload.App
-	runningB *workload.App
-	busy     bool // an event will fire for this core
+	busy bool // an event will fire for this core
 	// In-flight request state, for §4.4 priority preemption.
 	curReq    *workload.Request
 	reqEv     sim.Event
@@ -49,89 +46,53 @@ type coreState struct {
 	// finish is the core's request-completion callback, bound once so
 	// scheduling a completion allocates nothing.
 	finish func()
+}
 
-	act   sched.Activity
-	lastT sim.Time
-	// bStart marks when the current B run began (for useful-time
-	// accrual); bPending guards against double preemption.
-	bStart    sim.Time
-	preempted bool
+// runningL returns the L-app whose thread holds the core, or nil.
+func (c *coreState) runningL() *workload.App {
+	if c.RunningB() {
+		return nil
+	}
+	return c.Owner
 }
 
 type vesselRun struct {
-	cfg  sched.Config
-	eng  *sim.Engine
-	rng  *sim.RNG
-	acct sched.Accountant
-	bw   *sched.BW
-
+	sched.Base
 	cores    []*coreState
-	lApps    []*workload.App
-	bApps    []*workload.App
 	reacting map[*workload.App]bool // single-flight preemption chains
 	beQ      []*workload.App        // global BE queue (entries = schedulable B threads)
-	bwCap    float64                // B-app bandwidth budget in GB/s (0 = unlimited)
-	endAt    sim.Time
-	funnel   map[*workload.App]sim.Duration // per-B useful ns (contention-deflated)
-	bWall    map[*workload.App]sim.Duration // per-B wall ns on cores
-	lWork    map[*workload.App]sim.Duration // per-L-app core time on requests
-
-	switches, preempts, reallocs uint64
 }
 
 // Run executes the configured workload under VESSEL's scheduler.
 func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
-	if err := cfg.Validate(); err != nil {
+	r := &vesselRun{reacting: make(map[*workload.App]bool)}
+	if err := r.Init(cfg); err != nil {
 		return sched.Result{}, err
 	}
-	r := &vesselRun{
-		cfg:      cfg,
-		eng:      sim.NewEngine(),
-		rng:      sim.NewRNG(cfg.Seed),
-		bw:       sched.NewBW(cfg.Costs.MemBWTotal),
-		funnel:   make(map[*workload.App]sim.Duration),
-		bWall:    make(map[*workload.App]sim.Duration),
-		lWork:    make(map[*workload.App]sim.Duration),
-		reacting: make(map[*workload.App]bool),
-	}
-	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
-	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Obs: cfg.Obs, Journey: cfg.Journey}
-	if cfg.BWTargetFrac > 0 {
-		r.bwCap = cfg.BWTargetFrac * cfg.Costs.MemBWTotal
-	}
-	for _, a := range cfg.Apps {
-		if a.Kind == workload.LatencyCritical {
-			r.lApps = append(r.lApps, a)
-		} else {
-			r.bApps = append(r.bApps, a)
-		}
-	}
+	cfg = r.Cfg // with defaults filled in
 	for i := 0; i < cfg.Cores; i++ {
-		c := &coreState{id: i, act: sched.ActIdle}
+		c := &coreState{}
+		r.AddCore(&c.Core)
 		c.finish = func() { r.finishRequest(c) }
 		// Every L-app has a worker thread resident on every core.
-		c.fifo = append(c.fifo, r.lApps...)
+		c.fifo = append(c.fifo, r.LApps...)
 		r.cores = append(r.cores, c)
 	}
 	// One BE thread per core per B-app in the global queue.
 	for i := 0; i < cfg.Cores; i++ {
-		for _, b := range r.bApps {
-			r.beQ = append(r.beQ, b)
-		}
+		r.beQ = append(r.beQ, r.BApps...)
 	}
 	// Arrival processes. Every request's dispatch signal crosses the
 	// domain scheduler — a single FIFO control-plane server whose
 	// saturation caps core scalability (Figure 12).
 	ctrlCost := cfg.Costs.VesselCtrlFor(cfg.Cores)
-	ctrl := sched.NewCtrlPlane(r.eng, ctrlCost)
-	for _, a := range r.lApps {
+	ctrl := sched.NewCtrlPlane(r.Eng, ctrlCost)
+	for _, a := range r.LApps {
 		app := a
 		lane := ctrl.Lane(app, func(*workload.Request) { r.onArrival(app) })
-		if err := app.GenerateArrivals(r.eng, r.rng.Fork(uint64(len(app.Name))+7), r.endAt, func(req *workload.Request) {
-			// Mint the request's journey at arrival; the control-plane
-			// dispatch delay counts as queueing (the request is waiting
-			// for the scheduler to learn about it).
-			req.J = cfg.Journey.Mint(app.Name, req.Arrive)
+		// The control-plane dispatch delay counts as queueing (the
+		// request is waiting for the scheduler to learn about it).
+		if err := r.Arrivals(app, 7, func(*workload.Request) {
 			if ctrlCost <= 0 {
 				r.onArrival(app)
 				return
@@ -142,7 +103,7 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		}
 	}
 	// Initial fill: give idle cores to BE threads.
-	r.eng.At(0, func() {
+	r.Eng.At(0, func() {
 		for _, c := range r.cores {
 			if !c.busy {
 				r.serveNext(c)
@@ -151,35 +112,12 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 	})
 	// Bandwidth regulation scan (µs-scale, §6.3.4). Runs only with a
 	// configured budget.
-	if r.bwCap > 0 {
-		var scan func()
-		scan = func() {
-			r.regulateBW()
-			if r.eng.Now() < r.endAt {
-				r.eng.After(1*sim.Microsecond, scan)
-			}
-		}
-		r.eng.At(0, scan)
+	if r.BWCap > 0 {
+		r.Every(0, 1*sim.Microsecond, r.regulateBW)
 	}
-	r.eng.At(sim.Time(cfg.Warmup), func() { r.bw.ResetAvg(r.eng.Now()) })
-
-	r.eng.Run(r.endAt)
-	return r.collect()
-}
-
-// setAct transitions a core's accounting activity.
-func (r *vesselRun) setAct(c *coreState, act sched.Activity) {
-	now := r.eng.Now()
-	label := ""
-	switch {
-	case c.runningL != nil:
-		label = c.runningL.Name
-	case c.runningB != nil:
-		label = c.runningB.Name
-	}
-	r.acct.AccrueCore(c.id, c.act, c.lastT, now, label)
-	c.act = act
-	c.lastT = now
+	return r.Base.Run("VESSEL", sched.Counters{
+		Switches: "vessel.switches", Preempts: "vessel.preempts", Reallocs: "vessel.reallocs",
+	}), nil
 }
 
 // preemptDelayThreshold is the queueing delay after which the scheduler
@@ -194,7 +132,7 @@ const preemptDelayThreshold = 1 * sim.Microsecond
 func (r *vesselRun) onArrival(app *workload.App) {
 	// Prefer an idle core (UMWAIT wake + dispatch).
 	for _, c := range r.cores {
-		if !c.busy && c.runningB == nil && c.runningL == nil {
+		if !c.busy && c.Owner == nil {
 			r.wakeIdle(c, app)
 			return
 		}
@@ -208,17 +146,17 @@ func (r *vesselRun) onArrival(app *workload.App) {
 // armReaction schedules the scheduler's next look at app's queue: one scan
 // interval plus the Uintr delivery it would take to act.
 func (r *vesselRun) armReaction(app *workload.App) {
-	cm := r.cfg.Costs
-	r.eng.After(cm.VesselSchedScan+cm.UintrDeliver, func() {
-		now := r.eng.Now()
-		if len(app.Queue) == 0 || now >= r.endAt {
+	cm := r.Cfg.Costs
+	r.Eng.After(cm.VesselSchedScan+cm.UintrDeliver, func() {
+		now := r.Eng.Now()
+		if len(app.Queue) == 0 || now >= r.EndAt {
 			r.reacting[app] = false
 			return
 		}
 		if app.QueueDelay(now) >= preemptDelayThreshold {
 			preempted := false
 			for _, c := range r.cores {
-				if c.runningB != nil && !c.preempted {
+				if c.RunningB() {
 					r.preemptB(c)
 					preempted = true
 					break
@@ -228,8 +166,7 @@ func (r *vesselRun) armReaction(app *workload.App) {
 			// strictly lower-priority L-app mid-request (§4.4).
 			if !preempted {
 				for _, c := range r.cores {
-					if c.curReq != nil && c.runningL != nil &&
-						c.runningL.Priority < app.Priority {
+					if l := c.runningL(); c.curReq != nil && l != nil && l.Priority < app.Priority {
 						r.preemptL(c)
 						break
 					}
@@ -253,11 +190,11 @@ func (r *vesselRun) armReaction(app *workload.App) {
 
 // wakeIdle dispatches an idle core to serve app.
 func (r *vesselRun) wakeIdle(c *coreState, app *workload.App) {
-	cm := r.cfg.Costs
+	cm := r.Cfg.Costs
 	c.busy = true
-	r.setAct(c, sched.ActSwitch)
-	r.switches++
-	r.eng.After(cm.UmwaitWake+cm.VesselParkSwitch, func() {
+	c.SetAct(sched.ActSwitch)
+	r.Switches++
+	r.Eng.After(cm.UmwaitWake+cm.VesselParkSwitch, func() {
 		c.busy = false
 		r.serveNext(c)
 	})
@@ -266,36 +203,28 @@ func (r *vesselRun) wakeIdle(c *coreState, app *workload.App) {
 // preemptB stops the BE thread on c (Uintr handler → gate → switch) and
 // lets the core pick up L work.
 func (r *vesselRun) preemptB(c *coreState) {
-	cm := r.cfg.Costs
-	b := c.runningB
-	if b == nil {
+	cm := r.Cfg.Costs
+	if !c.RunningB() {
 		return
 	}
-	c.preempted = true
-	r.preempts++
-	r.reallocs++
-	now := r.eng.Now()
+	b := c.Owner
+	r.Preempts++
+	r.Reallocs++
+	now := r.Eng.Now()
 	// The preemption arrived by user interrupt: the reaction timer included
 	// one UintrDeliver of flight, so the send→delivery window ends now.
-	if o := r.cfg.Obs; o != nil {
-		o.Span(c.id, now.Add(-cm.UintrDeliver), now, obs.CatUintr, b.Name)
+	if o := r.Cfg.Obs; o != nil {
+		o.Span(c.ID, now.Add(-cm.UintrDeliver), now, obs.CatUintr, b.Name)
 		o.Reg().Inc("vessel.uintr.preempt")
 	}
-	// Accrue the B run's useful time, deflated by memory contention.
-	useful := r.acct.Clip(c.bStart, now)
-	if useful > 0 {
-		r.funnel[b] += sim.Duration(float64(useful) / r.bw.Inflation())
-		r.bWall[b] += useful
-	}
-	r.bw.Remove(now, b.AvgBW())
-	c.runningB = nil
-	c.preempted = false
+	c.StopB()
+	c.Owner = nil
 	// Preempted BE threads go back to the global BE queue (§4.5).
 	r.beQ = append(r.beQ, b)
 	c.busy = true
-	r.setAct(c, sched.ActSwitch)
-	r.switches++
-	r.eng.After(cm.VesselPreemptSwitch, func() {
+	c.SetAct(sched.ActSwitch)
+	r.Switches++
+	r.Eng.After(cm.VesselPreemptSwitch, func() {
 		c.busy = false
 		r.serveNext(c)
 	})
@@ -307,19 +236,19 @@ func (r *vesselRun) serveNext(c *coreState) {
 	if c.busy {
 		return
 	}
-	now := r.eng.Now()
-	if now >= r.endAt {
-		r.setAct(c, sched.ActIdle)
+	now := r.Eng.Now()
+	if now >= r.EndAt {
+		c.SetAct(sched.ActIdle)
 		return
 	}
 	// Continue the current L app run-to-completion with no switch.
-	if c.runningL != nil {
-		if req := c.runningL.Dequeue(); req != nil {
-			r.startRequest(c, c.runningL, req)
+	if l := c.runningL(); l != nil {
+		if req := l.Dequeue(); req != nil {
+			r.startRequest(c, l, req)
 			return
 		}
 		// Parks: rotate the FIFO so siblings get the core next time.
-		c.runningL = nil
+		c.Owner = nil
 	}
 	// Scan the per-core FIFO for an L thread with pending work, highest
 	// priority first (§4.4); equal priorities keep FIFO rotation order.
@@ -339,11 +268,11 @@ func (r *vesselRun) serveNext(c *coreState) {
 				req := app.Dequeue()
 				// Switching threads costs one park-path gate trip.
 				req.J.To(journey.SegGate, now)
-				cm := r.cfg.Costs
+				cm := r.Cfg.Costs
 				c.busy = true
-				r.setAct(c, sched.ActSwitch)
-				r.switches++
-				r.eng.After(cm.VesselParkSwitch, func() {
+				c.SetAct(sched.ActSwitch)
+				r.Switches++
+				r.Eng.After(cm.VesselParkSwitch, func() {
 					c.busy = false
 					r.startRequest(c, app, req)
 				})
@@ -355,48 +284,45 @@ func (r *vesselRun) serveNext(c *coreState) {
 	// budget allows.
 	for i := 0; i < len(r.beQ); i++ {
 		b := r.beQ[i]
-		if r.bwCap > 0 && r.bw.Demand()+b.AvgBW() > r.bwCap {
+		if r.BWCap > 0 && r.BW.Demand()+b.AvgBW() > r.BWCap {
 			continue
 		}
 		r.beQ = append(r.beQ[:i], r.beQ[i+1:]...)
 		r.startB(c, b)
 		return
 	}
-	r.setAct(c, sched.ActIdle)
+	c.SetAct(sched.ActIdle)
 }
 
 // startRequest runs one L request (or its preempted remainder)
 // run-to-completion.
 func (r *vesselRun) startRequest(c *coreState, app *workload.App, req *workload.Request) {
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	if req.Start == 0 {
 		req.Start = now
 	}
 	if req.Remaining <= 0 {
 		req.Remaining = req.Service
 	}
-	c.runningL = app
+	c.Owner = app
 	c.busy = true
 	c.curReq = req
 	c.reqFrom = now
-	c.reqInflat = r.bw.Inflation()
+	c.reqInflat = r.BW.Inflation()
 	req.J.To(journey.SegRun, now)
-	r.setAct(c, sched.ActApp)
-	dur := sim.Duration(float64(req.Remaining)*c.reqInflat) + r.bw.StallNoise(r.rng)
-	c.reqEv = r.eng.After(dur, c.finish)
+	c.SetAct(sched.ActApp)
+	dur := sim.Duration(float64(req.Remaining)*c.reqInflat) + r.BW.StallNoise(r.RNG)
+	c.reqEv = r.Eng.After(dur, c.finish)
 }
 
-// finishRequest completes the core's in-flight request: c.curReq of app
-// c.runningL, started at c.reqFrom.
+// finishRequest completes the core's in-flight request c.curReq, started
+// at c.reqFrom.
 func (r *vesselRun) finishRequest(c *coreState) {
-	req, app := c.curReq, c.runningL
+	req := c.curReq
 	c.reqEv = sim.Event{}
 	c.curReq = nil
 	req.Remaining = 0
-	req.Done = r.eng.Now()
-	req.J.Finish(req.Done)
-	app.Complete(req, sim.Time(r.cfg.Warmup))
-	r.lWork[app] += r.acct.Clip(c.reqFrom, r.eng.Now())
+	r.Complete(req, c.reqFrom)
 	c.busy = false
 	r.serveNext(c)
 }
@@ -410,8 +336,8 @@ func (r *vesselRun) preemptL(c *coreState) {
 	if req == nil || !c.reqEv.Pending() {
 		return
 	}
-	now := r.eng.Now()
-	r.eng.Cancel(c.reqEv)
+	now := r.Eng.Now()
+	r.Eng.Cancel(c.reqEv)
 	c.reqEv = sim.Event{}
 	c.curReq = nil
 	served := sim.Duration(float64(now.Sub(c.reqFrom)) / c.reqInflat)
@@ -421,12 +347,12 @@ func (r *vesselRun) preemptL(c *coreState) {
 	req.Remaining -= served
 	req.App.RequeueFront(req)
 	req.J.To(journey.SegQueue, now)
-	c.runningL = nil
-	r.preempts++
+	c.Owner = nil
+	r.Preempts++
 	c.busy = true
-	r.setAct(c, sched.ActSwitch)
-	r.switches++
-	r.eng.After(r.cfg.Costs.VesselPreemptSwitch, func() {
+	c.SetAct(sched.ActSwitch)
+	r.Switches++
+	r.Eng.After(r.Cfg.Costs.VesselPreemptSwitch, func() {
 		c.busy = false
 		r.serveNext(c)
 	})
@@ -434,27 +360,25 @@ func (r *vesselRun) preemptL(c *coreState) {
 
 // startB puts a BE thread on the core; it runs until preempted.
 func (r *vesselRun) startB(c *coreState, b *workload.App) {
-	cm := r.cfg.Costs
+	cm := r.Cfg.Costs
 	c.busy = true
-	r.setAct(c, sched.ActSwitch)
-	r.switches++
-	r.reallocs++
-	r.eng.After(cm.VesselParkSwitch, func() {
+	c.SetAct(sched.ActSwitch)
+	r.Switches++
+	r.Reallocs++
+	r.Eng.After(cm.VesselParkSwitch, func() {
 		c.busy = false
-		c.runningB = b
-		c.bStart = r.eng.Now()
-		r.bw.Add(r.eng.Now(), b.AvgBW())
-		r.setAct(c, sched.ActApp)
+		c.Owner = b
+		c.StartB()
 	})
 }
 
 // regulateBW enforces the B-app bandwidth budget at scan granularity:
 // preempt BE cores while demand exceeds the budget.
 func (r *vesselRun) regulateBW() {
-	for r.bw.Demand() > r.bwCap {
+	for r.BW.Demand() > r.BWCap {
 		var victim *coreState
 		for _, c := range r.cores {
-			if c.runningB != nil && !c.preempted {
+			if c.RunningB() {
 				victim = c
 				break
 			}
@@ -466,62 +390,8 @@ func (r *vesselRun) regulateBW() {
 	}
 	// Under budget: idle cores may pick BE work back up.
 	for _, c := range r.cores {
-		if !c.busy && c.runningB == nil && c.runningL == nil && len(r.beQ) > 0 {
+		if !c.busy && c.Owner == nil && len(r.beQ) > 0 {
 			r.serveNext(c)
 		}
 	}
-}
-
-// collect finalises accounting and builds the result.
-func (r *vesselRun) collect() (sched.Result, error) {
-	now := r.eng.Now()
-	for _, c := range r.cores {
-		// Close out any running B accrual.
-		if c.runningB != nil {
-			useful := r.acct.Clip(c.bStart, now)
-			if useful > 0 {
-				r.funnel[c.runningB] += sim.Duration(float64(useful) / r.bw.Inflation())
-				r.bWall[c.runningB] += useful
-			}
-		}
-		// Close the span through setAct so it keeps its occupant label
-		// (and reaches the obs timeline/profiler like every other accrual).
-		r.setAct(c, c.act)
-	}
-	if o := r.cfg.Obs; o != nil {
-		o.Reg().Add("vessel.switches", r.switches)
-		o.Reg().Add("vessel.preempts", r.preempts)
-		o.Reg().Add("vessel.reallocs", r.reallocs)
-	}
-	res := sched.Result{
-		Scheduler:     "VESSEL",
-		Cores:         r.cfg.Cores,
-		Measured:      r.cfg.Duration,
-		Cycles:        r.acct.Breakdown,
-		Switches:      r.switches,
-		Preemptions:   r.preempts,
-		Reallocations: r.reallocs,
-	}
-	for _, a := range r.cfg.Apps {
-		ar := sched.AppResult{
-			Name:      a.Name,
-			Kind:      a.Kind,
-			Offered:   a.Offered,
-			Completed: a.Completed,
-		}
-		if a.Kind == workload.LatencyCritical {
-			ar.Latency = a.Lat.Summarize()
-			ar.Tput = stats.Rate{Count: a.Lat.Count(), Elapsed: int64(r.cfg.Duration)}
-			ar.LBusyNs = r.lWork[a]
-		} else {
-			ar.BUsefulNs = r.funnel[a]
-			ar.BWallNs = r.bWall[a]
-			ar.Tput = stats.Rate{Count: uint64(ar.BUsefulNs), Elapsed: int64(r.cfg.Duration)}
-			// Aggregate bandwidth: per-core demand × average cores held.
-			ar.AvgBWGBs = a.AvgBW() * float64(r.bWall[a]) / float64(r.cfg.Duration)
-		}
-		res.Apps = append(res.Apps, ar)
-	}
-	sched.Normalize(&res, r.cfg)
-	return res, nil
 }
