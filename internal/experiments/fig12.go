@@ -141,7 +141,7 @@ func (f Fig12) String() string {
 	for _, name := range names {
 		s += fmt.Sprintf("%s peaks at %d cores\n", name, f.PeakCores[name])
 	}
-	s += "(paper: VESSEL scales to 42 cores (+25.4%% from 32), dips at 44; Caladan peaks at 34)\n"
+	s += "(paper: VESSEL scales to 42 cores (+25.4% from 32), dips at 44; Caladan peaks at 34)\n"
 	return s
 }
 
