@@ -8,17 +8,7 @@ import (
 	"testing"
 
 	"vessel/internal/obs"
-	"vessel/internal/sched"
-	"vessel/internal/sched/caladan"
 )
-
-// goldenSchedulers is every scheduler variant the paper compares: the
-// four Systems() plus Caladan's two Delay Range configurations.
-func goldenSchedulers() []sched.Scheduler {
-	return append(Systems(),
-		caladan.Simulator{Variant: caladan.DRLow},
-		caladan.Simulator{Variant: caladan.DRHigh})
-}
 
 // schedGoldenRun renders, for every scheduler on a small matrix of
 // memcached + two membench colocations, the run's Canonical() bytes and
@@ -26,7 +16,7 @@ func goldenSchedulers() []sched.Scheduler {
 func schedGoldenRun(t *testing.T) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	for _, s := range goldenSchedulers() {
+	for _, s := range Variants() {
 		for _, cores := range []int{4, 16} {
 			for _, bwFrac := range []float64{0, 0.3} {
 				for _, load := range []float64{0.1, 0.5, 0.9} {
