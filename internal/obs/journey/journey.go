@@ -29,6 +29,7 @@ package journey
 
 import (
 	"fmt"
+	"slices"
 
 	"vessel/internal/sim"
 )
@@ -228,9 +229,17 @@ func (j *Journey) Tree() []Node {
 	if j == nil {
 		return nil
 	}
-	log := j.t.chain(j.lhead)
-	nodes := make([]Node, 1, len(log)+2)
-	nodes[0] = Node{ID: 0, Parent: -1, Follows: -1, Start: j.Arrive, Name: j.Name}
+	nodes, _ := j.treeInto(nil, nil)
+	return nodes
+}
+
+// treeInto builds the span tree Tree returns into nodes[:0], replaying
+// the journey's log through log[:0] as scratch, and returns both buffers
+// (grown as needed) so a caller walking many journeys reuses them.
+func (j *Journey) treeInto(nodes []Node, log []logEntry) ([]Node, []logEntry) {
+	log = j.t.chainInto(log, j.lhead)
+	nodes = slices.Grow(nodes[:0], len(log)+2)
+	nodes = append(nodes, Node{ID: 0, Parent: -1, Follows: -1, Start: j.Arrive, Name: j.Name})
 	cur, since, last := SegQueue, j.Arrive, -1
 	closeSeg := func(at sim.Time) {
 		if at < since {
@@ -265,7 +274,7 @@ func (j *Journey) Tree() []Node {
 		closeSeg(j.Done)
 		nodes[0].End = j.Done
 	}
-	return nodes
+	return nodes, log
 }
 
 // Finished reports whether the journey has completed.

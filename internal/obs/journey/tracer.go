@@ -2,6 +2,7 @@ package journey
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"vessel/internal/obs"
@@ -256,17 +257,18 @@ func (t *Tracer) addLog(e logEntry) int32 {
 	return idx
 }
 
-// chain materializes one journey's span-log entries oldest-first by
-// walking its backwards chain from head (-1 yields nil).
-func (t *Tracer) chain(head int32) []logEntry {
+// chainInto materializes one journey's span-log entries oldest-first
+// into out[:0] by walking its backwards chain from head (-1 yields none).
+func (t *Tracer) chainInto(out []logEntry, head int32) []logEntry {
+	out = out[:0]
 	if t == nil || head < 0 {
-		return nil
+		return out
 	}
 	n := 0
 	for i := head; i >= 0; n++ {
 		i = t.lblocks[i>>logShift][i&(1<<logShift-1)].prev
 	}
-	out := make([]logEntry, n)
+	out = slices.Grow(out, n)[:n]
 	for i := head; i >= 0; {
 		e := t.lblocks[i>>logShift][i&(1<<logShift-1)]
 		n--
@@ -342,6 +344,9 @@ func (t *Tracer) noteStr(i int32) string {
 
 // each calls fn for every minted journey in mint order.
 func (t *Tracer) each(fn func(j *Journey)) {
+	if t == nil {
+		return
+	}
 	for _, blk := range t.blocks {
 		for i := range blk {
 			fn(&blk[i])

@@ -20,8 +20,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"vessel/internal/sim"
 )
@@ -353,21 +355,20 @@ func (o *Observer) Spans() []Span {
 			out = r.snapshot(out)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	slices.SortStableFunc(out, func(a, b Span) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if a.Core != b.Core {
-			return a.Core < b.Core
+		if c := cmp.Compare(a.Core, b.Core); c != 0 {
+			return c
 		}
-		if a.End != b.End {
-			return a.End < b.End
+		if c := cmp.Compare(a.End, b.End); c != 0 {
+			return c
 		}
-		if a.Cat != b.Cat {
-			return a.Cat < b.Cat
+		if c := cmp.Compare(a.Cat, b.Cat); c != 0 {
+			return c
 		}
-		return a.Name < b.Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return out
 }
