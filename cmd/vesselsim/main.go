@@ -153,7 +153,7 @@ func main() {
 		fmt.Fprintln(w)
 		fmt.Fprint(w, tr.Analyze())
 		fmt.Fprintf(w, "journey export written to %s (%d journeys, flight-overwritten %d; convert with traceconv)\n",
-			*journeyOut, len(tr.Records()), tr.Flight().Overwritten())
+			*journeyOut, tr.Minted(), tr.Flight().Overwritten())
 		if *journeySample > 1 {
 			seen, minted := tr.Sampled()
 			fmt.Fprintf(w, "journey sampling: 1 in %d — traced %d of %d requests\n",
