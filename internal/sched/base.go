@@ -28,9 +28,10 @@ type Base struct {
 
 	acct  Accountant
 	cores []*Core
-	// Per-app ledgers: B useful time (deflated by memory contention), B
-	// wall time on cores, and L core time spent on requests.
-	bUseful, bWall, lBusy map[*workload.App]sim.Duration
+	// Per-app ledgers, indexed by App.Index: B useful time (deflated by
+	// memory contention), B wall time on cores, and L core time spent on
+	// requests.
+	bUseful, bWall, lBusy []sim.Duration
 }
 
 // Counters names the obs registry counters a scheduler reports its
@@ -40,7 +41,7 @@ type Counters struct {
 }
 
 // Init validates cfg and sets up the run: engine, RNG, bandwidth tracker,
-// measurement window and the L/B app split.
+// measurement window, the apps' indexes and the L/B app split.
 func (b *Base) Init(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -54,16 +55,17 @@ func (b *Base) Init(cfg Config) error {
 	if cfg.BWTargetFrac > 0 {
 		b.BWCap = cfg.BWTargetFrac * cfg.Costs.MemBWTotal
 	}
-	for _, a := range cfg.Apps {
+	for i, a := range cfg.Apps {
+		a.Index = i
 		if a.Kind == workload.LatencyCritical {
 			b.LApps = append(b.LApps, a)
 		} else {
 			b.BApps = append(b.BApps, a)
 		}
 	}
-	b.bUseful = make(map[*workload.App]sim.Duration)
-	b.bWall = make(map[*workload.App]sim.Duration)
-	b.lBusy = make(map[*workload.App]sim.Duration)
+	b.bUseful = make([]sim.Duration, len(cfg.Apps))
+	b.bWall = make([]sim.Duration, len(cfg.Apps))
+	b.lBusy = make([]sim.Duration, len(cfg.Apps))
 	return nil
 }
 
@@ -106,7 +108,7 @@ func (b *Base) Complete(req *workload.Request, from sim.Time) {
 	req.Done = now
 	req.J.Finish(now)
 	req.App.Complete(req, sim.Time(b.Cfg.Warmup))
-	b.lBusy[req.App] += b.acct.Clip(from, now)
+	b.lBusy[req.App.Index] += b.acct.Clip(from, now)
 }
 
 // Run restarts the bandwidth average at the end of warmup, runs the
@@ -152,10 +154,10 @@ func (b *Base) finish(name string, counters Counters) Result {
 		if a.Kind == workload.LatencyCritical {
 			ar.Latency = a.Lat.Summarize()
 			ar.Tput = stats.Rate{Count: a.Lat.Count(), Elapsed: elapsed}
-			ar.LBusyNs = b.lBusy[a]
+			ar.LBusyNs = b.lBusy[a.Index]
 		} else {
-			ar.BUsefulNs = b.bUseful[a]
-			ar.BWallNs = b.bWall[a]
+			ar.BUsefulNs = b.bUseful[a.Index]
+			ar.BWallNs = b.bWall[a.Index]
 			ar.Tput = stats.Rate{Count: uint64(ar.BUsefulNs), Elapsed: elapsed}
 			// Aggregate bandwidth: per-core demand × average cores held.
 			ar.AvgBWGBs = a.AvgBW() * float64(ar.BWallNs) / float64(b.Cfg.Duration)
@@ -171,8 +173,8 @@ func (b *Base) finish(name string, counters Counters) Result {
 func (b *Base) accrueB(c *Core, now sim.Time, infl float64) {
 	useful := b.acct.Clip(c.bFrom, now)
 	if useful > 0 {
-		b.bUseful[c.Owner] += sim.Duration(float64(useful) / infl)
-		b.bWall[c.Owner] += useful
+		b.bUseful[c.Owner.Index] += sim.Duration(float64(useful) / infl)
+		b.bWall[c.Owner.Index] += useful
 	}
 }
 

@@ -103,6 +103,9 @@ type run struct {
 	// act on this stale sample — the control-loop coarseness that makes
 	// Caladan's regulation overshoot (§6.3.4).
 	bwSampled float64
+	// coreCount is grantCore's scratch tally of L cores per app, by
+	// App.Index.
+	coreCount []int
 }
 
 // Run executes the workload under Caladan's policy.
@@ -112,6 +115,7 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		return sched.Result{}, err
 	}
 	cfg = r.Cfg // with defaults filled in
+	r.coreCount = make([]int, len(cfg.Apps))
 	for i := 0; i < cfg.Cores; i++ {
 		c := &core{mode: modeFree}
 		r.AddCore(&c.Core)
@@ -338,10 +342,11 @@ func (r *run) grantCore(app *workload.App) {
 	// holding the most cores; prefer a polling core, else a serving one.
 	var victim *core
 	bestCount := 0
-	counts := make(map[*workload.App]int)
+	counts := r.coreCount
+	clear(counts)
 	for _, c := range r.cores {
 		if c.Owner != nil && c.Owner.Kind == workload.LatencyCritical {
-			counts[c.Owner]++
+			counts[c.Owner.Index]++
 		}
 	}
 	for _, c := range r.cores {
@@ -351,7 +356,7 @@ func (r *run) grantCore(app *workload.App) {
 		if c.mode != modePollL && c.mode != modeServeL {
 			continue
 		}
-		n := counts[c.Owner]
+		n := counts[c.Owner.Index]
 		better := n > bestCount || (n == bestCount && victim != nil && victim.mode == modeServeL && c.mode == modePollL)
 		if victim == nil || better {
 			victim = c

@@ -86,19 +86,20 @@ type run struct {
 	sched.Base
 	k     *kernel.Kernel
 	cores []*core
-	// workers[app] lists the app's threads across cores.
-	workers map[*workload.App][]*thread
+	// workers[app.Index] lists the app's threads across cores.
+	workers [][]*thread
 	homeRR  int
 	entID   int
 }
 
 // Run executes the workload under the CFS model.
 func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
-	r := &run{workers: make(map[*workload.App][]*thread)}
+	r := &run{}
 	if err := r.Init(cfg); err != nil {
 		return sched.Result{}, err
 	}
 	cfg = r.Cfg // with defaults filled in
+	r.workers = make([][]*thread, len(cfg.Apps))
 	r.k = kernel.New(r.Eng, cfg.Costs)
 	for i := 0; i < cfg.Cores; i++ {
 		c := &core{rq: kernel.NewRunqueue()}
@@ -119,7 +120,7 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 			}
 			r.entID++
 			th.ent.UserData = th
-			r.workers[a] = append(r.workers[a], th)
+			r.workers[a.Index] = append(r.workers[a.Index], th)
 			if a.Kind == workload.LatencyCritical {
 				th.sleeping = true // wakes on demand
 			} else {
@@ -204,7 +205,7 @@ func (r *run) wake(app *workload.App) {
 		return
 	}
 	var w *thread
-	for _, th := range r.workers[app] {
+	for _, th := range r.workers[app.Index] {
 		if th.sleeping {
 			w = th
 			break

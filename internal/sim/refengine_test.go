@@ -27,6 +27,7 @@ type refEvent struct {
 	index  int // heap index; -1 once fired or cancelled
 	fn     func()
 	cancel bool
+	stream bool // a stream firing: never recycled
 }
 
 // refHandle mirrors Event for the reference engine.
@@ -70,6 +71,21 @@ func (e *refEngine) At(t Time, fn func()) refHandle {
 	} else {
 		ev = &refEvent{}
 	}
+	e.schedule(ev, t, fn)
+	return refHandle{e: ev, gen: ev.gen}
+}
+
+// Push models a Stream push: an At on an event of its own that is never
+// recycled, since a stream firing has no handle and takes no storage a
+// handle could observe.
+func (e *refEngine) Push(t Time, fn func()) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: stream push at %v before now %v", t, e.now))
+	}
+	e.schedule(&refEvent{stream: true}, t, fn)
+}
+
+func (e *refEngine) schedule(ev *refEvent, t Time, fn func()) {
 	ev.at = t
 	ev.seq = e.seq
 	ev.fn = fn
@@ -78,7 +94,6 @@ func (e *refEngine) At(t Time, fn func()) refHandle {
 	if len(e.queue) > e.hwPending {
 		e.hwPending = len(e.queue)
 	}
-	return refHandle{e: ev, gen: ev.gen}
 }
 
 func (e *refEngine) After(d Duration, fn func()) refHandle {
@@ -114,8 +129,10 @@ func (e *refEngine) Step() bool {
 	e.fired++
 	fn := ev.fn
 	fn()
-	ev.fn = nil
-	e.free = append(e.free, ev)
+	if !ev.stream {
+		ev.fn = nil
+		e.free = append(e.free, ev)
+	}
 	return true
 }
 

@@ -70,6 +70,7 @@ type event struct {
 	id     int32 // index into Engine.events and Engine.pos
 	queued bool  // in the heap: neither fired nor cancelled
 	cancel bool
+	stream bool // a Stream's permanent event: never recycled
 }
 
 // Event is a by-value handle to a scheduled callback, returned by the
@@ -127,9 +128,16 @@ type Engine struct {
 	// steady-state scheduling allocates nothing. Reuse bumps the event's
 	// gen, expiring any handles still pointing at it.
 	free []int32
-	// hwPending is the deepest the event queue has ever been — a cheap
-	// health signal the observability layer surfaces per run.
+	// pending counts every scheduled firing: the heap's live entries plus
+	// the firings queued in streams behind their heads.
+	pending int
+	// hwPending is the most firings ever pending at once, stream backlog
+	// included. Only tests read it, through HighWaterPending.
 	hwPending int
+	// firing is set while a callback runs. hole is set while slot 0 still
+	// holds the entry that fired: Step removes it after the callback
+	// returns unless a push made during the callback took the slot over.
+	firing, hole bool
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -144,8 +152,9 @@ func (e *Engine) Now() Time { return e.now }
 // for detecting runaway simulations).
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of events currently scheduled, counting each
+// firing queued in a Stream as one.
+func (e *Engine) Pending() int { return e.pending }
 
 // At schedules fn to run at time t. Scheduling in the past (t < Now) panics:
 // it is always a logic error in a discrete-event model.
@@ -165,13 +174,35 @@ func (e *Engine) At(t Time, fn func()) Event {
 	ev.at = t
 	ev.fn = fn
 	ev.queued = true
-	e.queue = append(e.queue, entry{at: t, seq: e.seq, id: ev.id})
-	e.seq++
-	e.up(len(e.queue) - 1)
-	if len(e.queue) > e.hwPending {
-		e.hwPending = len(e.queue)
-	}
+	e.push(entry{at: t, seq: e.reserve(), id: ev.id})
 	return Event{e: ev, gen: ev.gen}
+}
+
+// reserve counts a newly scheduled firing as pending and returns the seq
+// that orders it among firings at the same instant.
+func (e *Engine) reserve() uint64 {
+	seq := e.seq
+	e.seq++
+	e.pending++
+	if e.pending > e.hwPending {
+		e.hwPending = e.pending
+	}
+	return seq
+}
+
+// push inserts x into the heap. During a callback the first push takes
+// over slot 0, which still holds the entry that fired, and sifts down
+// once: an event that schedules its successor costs one sift rather than
+// a remove plus an up.
+func (e *Engine) push(x entry) {
+	if e.hole {
+		e.hole = false
+		e.queue[0] = x
+		e.down(0)
+		return
+	}
+	e.queue = append(e.queue, x)
+	e.up(len(e.queue) - 1)
 }
 
 // eventBlock is how many events newEvent allocates at once.
@@ -191,7 +222,7 @@ func (e *Engine) newEvent() *event {
 }
 
 // HighWaterPending returns the maximum number of simultaneously scheduled
-// events observed over the engine's lifetime.
+// events observed over the engine's lifetime, stream backlog included.
 func (e *Engine) HighWaterPending() int { return e.hwPending }
 
 // After schedules fn to run d after the current time. A non-positive d means
@@ -217,39 +248,59 @@ func (e *Engine) Cancel(h Event) {
 	}
 	ev.cancel = true
 	ev.queued = false
+	e.pending--
 	e.remove(int(e.pos[ev.id]))
 	ev.fn = nil
 	e.free = append(e.free, ev.id)
 }
 
 // Step executes the next pending event, advancing the clock to its time.
-// It reports whether an event was executed.
+// It reports whether an event was executed. Calling Step (or Run/RunAll)
+// from inside a callback panics.
 func (e *Engine) Step() bool {
+	e.notFiring()
 	if e.stopped || len(e.queue) == 0 {
 		return false
 	}
-	ev := e.events[e.queue[0].id]
-	e.remove(0)
-	ev.queued = false
-	if ev.at < e.now {
+	root := e.queue[0]
+	if root.at < e.now {
 		panic("sim: event heap out of order")
 	}
-	e.now = ev.at
+	ev := e.events[root.id]
+	ev.queued = false
+	e.now = root.at
 	e.fired++
-	fn := ev.fn
-	fn()
+	e.pending--
+	e.firing, e.hole = true, true
+	ev.fn()
+	e.firing = false
+	if e.hole {
+		e.hole = false
+		e.remove(0)
+	}
 	// Recycle only after the callback returns: the callback (and anything
 	// it calls) may still query handles to this event; once we are back,
 	// the event is history and its storage can serve the next At.
-	ev.fn = nil
-	e.free = append(e.free, ev.id)
+	if !ev.stream {
+		ev.fn = nil
+		e.free = append(e.free, ev.id)
+	}
 	return true
+}
+
+// notFiring panics if a callback is running: slot 0 of the heap may hold
+// the entry that fired, so the engine cannot fire another event yet.
+func (e *Engine) notFiring() {
+	if e.firing {
+		panic("sim: Step or Run called from inside an event callback")
+	}
 }
 
 // Run executes events until the queue is empty, Stop is called, or the next
 // event would fire after `until`. The clock is left at the time of the last
 // executed event (or advanced to `until` if it ran dry earlier).
 func (e *Engine) Run(until Time) {
+	e.notFiring()
 	e.stopped = false
 	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= until {
 		e.Step()

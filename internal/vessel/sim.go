@@ -59,17 +59,18 @@ func (c *coreState) runningL() *workload.App {
 type vesselRun struct {
 	sched.Base
 	cores    []*coreState
-	reacting map[*workload.App]bool // single-flight preemption chains
-	beQ      []*workload.App        // global BE queue (entries = schedulable B threads)
+	reacting []bool          // single-flight preemption chains, by App.Index
+	beQ      []*workload.App // global BE queue (entries = schedulable B threads)
 }
 
 // Run executes the configured workload under VESSEL's scheduler.
 func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
-	r := &vesselRun{reacting: make(map[*workload.App]bool)}
+	r := &vesselRun{}
 	if err := r.Init(cfg); err != nil {
 		return sched.Result{}, err
 	}
 	cfg = r.Cfg // with defaults filled in
+	r.reacting = make([]bool, len(cfg.Apps))
 	for i := 0; i < cfg.Cores; i++ {
 		c := &coreState{}
 		r.AddCore(&c.Core)
@@ -137,8 +138,8 @@ func (r *vesselRun) onArrival(app *workload.App) {
 			return
 		}
 	}
-	if !r.reacting[app] {
-		r.reacting[app] = true
+	if !r.reacting[app.Index] {
+		r.reacting[app.Index] = true
 		r.armReaction(app)
 	}
 }
@@ -150,7 +151,7 @@ func (r *vesselRun) armReaction(app *workload.App) {
 	r.Eng.After(cm.VesselSchedScan+cm.UintrDeliver, func() {
 		now := r.Eng.Now()
 		if len(app.Queue) == 0 || now >= r.EndAt {
-			r.reacting[app] = false
+			r.reacting[app.Index] = false
 			return
 		}
 		if app.QueueDelay(now) >= preemptDelayThreshold {

@@ -135,6 +135,9 @@ func (r *Request) Sojourn() sim.Duration { return r.Done.Sub(r.Arrive) }
 type App struct {
 	Name string
 	Kind Kind
+	// Index is the app's position in its run's app list, set when the
+	// run starts, so schedulers keep per-app ledgers in slices.
+	Index int
 
 	// L-app parameters.
 	Dist  ServiceDist
