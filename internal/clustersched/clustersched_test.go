@@ -347,7 +347,7 @@ func TestFailsafeBudgetSwap(t *testing.T) {
 	fs := NewFailsafe(FairShare{}, 1000)
 	fs.InjectBurn(10_000)
 	v := View{Cores: 2, MinPerDomain: 1, FreeCores: []int{0, 1},
-		Owned: [][]int{nil}, Domains: []DomainView{{ID: 0, Share: 1, Want: 1}}}
+		Owned: [][]int{nil}, Domains: []DomainView{{ID: 0, Want: 1}}}
 	txn := fs.Decide(v)
 	if ok, _ := fs.Swapped(); !ok || fs.Overruns != 1 {
 		t.Fatalf("budget overrun not swapped: overruns=%d", fs.Overruns)

@@ -28,8 +28,6 @@ type DomainView struct {
 	// ViolationFrac is the domain's journey-layer SLO violation fraction
 	// (0 when no tracer feeds it).
 	ViolationFrac float64
-	// Share is the domain's fair-share weight.
-	Share float64
 }
 
 // View is the read-only snapshot a policy decides against.
@@ -101,13 +99,13 @@ func (Static) Decide(v View) Txn {
 	return txn
 }
 
-// FairShare drives every domain toward its weighted fair share of the
-// usable cores, bounded by demand: a domain's target is
-// min(demand, weighted share), where demand = granted + want, so an idle
-// domain never hoards cores it has no use for. Over-target domains are
-// revoked down (highest cores first), under-target domains granted up
-// (lowest free cores first) — revokes precede grants in the transaction
-// so freed cores are grantable in the same decision.
+// FairShare drives every domain toward an equal share of the usable
+// cores, bounded by demand: a domain's target is min(demand, share),
+// where demand = granted + want, so an idle domain never hoards cores it
+// has no use for. Over-target domains are revoked down (highest cores
+// first), under-target domains granted up (lowest free cores first) —
+// revokes precede grants in the transaction so freed cores are grantable
+// in the same decision.
 type FairShare struct{}
 
 // Name implements Policy.
@@ -118,7 +116,6 @@ func (FairShare) Decide(v View) Txn {
 	n := len(v.Domains)
 	usable := len(v.FreeCores)
 	demand := make([]int, n)
-	var totalShare float64
 	for i, d := range v.Domains {
 		usable += d.Granted
 		demand[i] = d.Granted + d.Want
@@ -128,14 +125,14 @@ func (FairShare) Decide(v View) Txn {
 		if v.MaxPerDomain > 0 && demand[i] > v.MaxPerDomain {
 			demand[i] = v.MaxPerDomain
 		}
-		totalShare += d.Share
 	}
-	// Weighted, demand-bounded targets; leftovers go round-robin in
+	// Equal, demand-bounded targets; leftovers go round-robin in
 	// domain order to domains still under demand.
+	share := int(1 / float64(n) * float64(usable))
 	target := make([]int, n)
 	assigned := 0
-	for i, d := range v.Domains {
-		t := int(d.Share / totalShare * float64(usable))
+	for i := range v.Domains {
+		t := share
 		if t < v.MinPerDomain {
 			t = v.MinPerDomain
 		}

@@ -47,6 +47,7 @@ func TestDecodePlanRejects(t *testing.T) {
 		name, in, wantErr string
 	}{
 		{"unknown kind", `{"faults":[{"kind":"meteor"}]}`, "unknown fault kind"},
+		{"retired kind", `{"faults":[{"kind":"wedgequeue"}]}`, "unknown fault kind"},
 		{"unknown field", `{"faults":[{"kind":"wildwrite","frobnicate":1}]}`, "frobnicate"},
 		{"negative at", `{"faults":[{"kind":"corestall","at_ns":-1}]}`, "negative"},
 		{"negative delay", `{"faults":[{"kind":"uintrstorm","delay_ns":-5}]}`, "negative"},

@@ -2,12 +2,13 @@
 // minted per workload request and propagated causally through every
 // crossing seam the codebase exposes as hooks — scheduler wakeup→run
 // edges, user-interrupt deferred-delivery windows, call-gate crossings,
-// and dataplane submit→completion pairs. Each journey is a deterministic
-// span tree (parent/child plus follows-from links between consecutive
-// segments) whose critical-path segments partition the request's sojourn
-// *exactly*: queueing, running, uintr-deferred, gate, and dataplane time
-// sum to arrival→completion by construction, and the conformance oracle
-// re-checks the identity against the scheduler's own measurement.
+// and the Caladan IOKernel and CFS receive-ring data hops. Each journey
+// is a deterministic span tree (parent/child plus follows-from links
+// between consecutive segments) whose critical-path segments partition
+// the request's sojourn *exactly*: queueing, running, uintr-deferred,
+// gate, and dataplane time sum to arrival→completion by construction, and
+// the conformance oracle re-checks the identity against the scheduler's
+// own measurement.
 //
 // The same three rules as internal/obs govern this package:
 //
@@ -51,8 +52,8 @@ const (
 	// SegGate is crossing overhead: context-switch cost, dispatcher
 	// handoff, call-gate style entry before the request runs.
 	SegGate
-	// SegData is time inside the data plane: IOKernel packet steering,
-	// device submit→completion windows.
+	// SegData is time inside the data plane: IOKernel packet steering
+	// and the CFS receive ring.
 	SegData
 	NumSegments
 )
