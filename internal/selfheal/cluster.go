@@ -14,7 +14,6 @@ import (
 	"vessel/internal/smas"
 	"vessel/internal/stats"
 	"vessel/internal/trace"
-	"vessel/internal/uproc"
 	"vessel/internal/vessel"
 )
 
@@ -105,7 +104,6 @@ type domainState struct {
 	id       int
 	mg       *vessel.Manager
 	failsafe *failsafe.Failsafe[vessel.PolicyView, vessel.PolicyDecision]
-	injector *faultinject.Injector
 	workers  []workerSpec
 	// lastAlive is the last instant any core of the domain beat — the
 	// moment the domain went fully dark, for restart MTTR.
@@ -156,10 +154,6 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		mg.UseEvents(c.events)
-		if cfg.WatchdogSoft > 0 || cfg.WatchdogHard > 0 {
-			mg.EnableWatchdog(cfg.WatchdogSoft, cfg.WatchdogHard)
-		}
 		var primary vessel.Policy
 		if cfg.Primary != nil {
 			primary = cfg.Primary()
@@ -174,12 +168,24 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // newManager builds one domain incarnation on the shared engine, in the
-// key mode the configuration asks for.
+// key mode the configuration asks for, logging to the shared event log
+// with the configured watchdog armed and the cluster's journey tracer (if
+// any) attached.
 func (c *Cluster) newManager() (*vessel.Manager, error) {
+	newOn := vessel.NewManagerOn
 	if c.cfg.VirtualKeys {
-		return vessel.NewVirtualManagerOn(c.eng, c.cfg.CoresPerDomain, c.cfg.Costs)
+		newOn = vessel.NewVirtualManagerOn
 	}
-	return vessel.NewManagerOn(c.eng, c.cfg.CoresPerDomain, c.cfg.Costs)
+	mg, err := newOn(c.eng, c.cfg.CoresPerDomain, c.cfg.Costs)
+	if err != nil {
+		return nil, err
+	}
+	mg.UseEvents(c.events)
+	if c.cfg.WatchdogSoft > 0 || c.cfg.WatchdogHard > 0 {
+		mg.EnableWatchdog(c.cfg.WatchdogSoft, c.cfg.WatchdogHard)
+	}
+	mg.AttachJourney(c.journey)
+	return mg, nil
 }
 
 // Engine exposes the shared engine (for tests and harness wiring).
@@ -237,9 +243,9 @@ func (c *Cluster) AddWorker(domain int, name string, build func(mg *vessel.Manag
 // discarded (and counted).
 func (c *Cluster) InjectFaults(domain int, plan faultinject.Plan) *faultinject.Injector {
 	d := c.domains[domain]
-	d.injector = d.mg.InjectFaults(plan)
-	d.injector.AttachPolicy(d.failsafe)
-	return d.injector
+	inj := d.mg.InjectFaults(plan)
+	inj.AttachPolicy(d.failsafe)
+	return inj
 }
 
 // coreID names a domain core for the detector.
@@ -319,36 +325,19 @@ func (c *Cluster) Run(steps, quantum int) (*Report, error) {
 				if d.mg.CoreFenced(core) {
 					continue
 				}
-				if d.mg.Domain.Offline(core) {
-					// The cluster scheduler revoked this core: it is no
-					// longer this domain's responsibility, so the detector
-					// must stop expecting beats from it — silence here is
-					// churn, not failure.
-					if id := c.coreID(d, core); c.forgetChurned(id) {
-						c.Counters.Inc("selfheal.churn.forget")
-					}
-					continue
-				}
-				if id := c.coreID(d, core); c.trackChurned(id) {
-					// Granted (back) to the domain mid-run: monitor it.
-					c.Counters.Inc("selfheal.churn.track")
-				}
 				cc := m.Core(core)
 				if cc.Fault != nil || cc.Stalled {
 					continue // silent: the detector sees the missing beat
 				}
-				if cc.Halted {
-					ok, err := d.mg.Domain.Wake(core)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						// Healthy idle: nothing runnable is not a failure.
-						beats = append(beats, beatRec{c.coreID(d, core), d})
-						continue
-					}
+				ran, ok, err := d.mg.RunQuantum(core, quantum)
+				if err != nil {
+					return nil, err
 				}
-				ran := cc.Run(quantum)
+				if !ok {
+					// Healthy idle: nothing runnable is not a failure.
+					beats = append(beats, beatRec{c.coreID(d, core), d})
+					continue
+				}
 				if ran > 0 {
 					progressed = true
 				}
@@ -356,21 +345,20 @@ func (c *Cluster) Run(steps, quantum int) (*Report, error) {
 					continue // died or wedged mid-quantum: no beat
 				}
 				beats = append(beats, beatRec{c.coreID(d, core), d})
-				dec := d.failsafe.Decide(vessel.PolicyView{
-					Core:     core,
-					RanFull:  ran == quantum,
-					QueueLen: len(d.mg.Domain.Runqueue(core)),
-					Idle:     ran == 0,
-				})
-				cc.Cycles += dec.CostCycles
-				if dec.Preempt {
-					if err := d.mg.Domain.Preempt(core, uproc.SchedCommand{}); err != nil {
-						return nil, err
-					}
+				if _, err := d.mg.Decide(d.failsafe, core, quantum, ran); err != nil {
+					return nil, err
 				}
 			}
 		}
-		c.syncClock()
+		var t sim.Time
+		for _, d := range c.domains {
+			if !d.dead {
+				t = max(t, d.mg.Clock())
+			}
+		}
+		if t > c.eng.Now() {
+			c.eng.Run(t)
+		}
 		if !progressed {
 			if c.eng.Pending() > 0 {
 				c.eng.Step()
@@ -387,10 +375,7 @@ func (c *Cluster) Run(steps, quantum int) (*Report, error) {
 			if d.dead {
 				continue
 			}
-			if d.injector != nil {
-				d.injector.Step(now)
-			}
-			if err := d.mg.PollSupervised(); err != nil {
+			if err := d.mg.EndRound(now); err != nil {
 				return nil, err
 			}
 		}
@@ -403,49 +388,6 @@ func (c *Cluster) Run(steps, quantum int) (*Report, error) {
 	}
 	c.finalChecks()
 	return c.report(), nil
-}
-
-// forgetChurned drops a detector entity if it is still tracked,
-// reporting whether anything was dropped — the revoke side of
-// granted-core churn.
-func (c *Cluster) forgetChurned(id string) bool {
-	if _, tracked := c.det.LastBeat(id); !tracked {
-		return false
-	}
-	c.det.Forget(id)
-	return true
-}
-
-// trackChurned registers a detector entity if it is not tracked yet,
-// reporting whether it was new — the grant side of granted-core churn.
-// The silence clock starts now, so a freshly granted core is not
-// suspected for the time it spent in another domain.
-func (c *Cluster) trackChurned(id string) bool {
-	if _, tracked := c.det.LastBeat(id); tracked {
-		return false
-	}
-	c.det.Track(id, c.eng.Now())
-	return true
-}
-
-// syncClock advances the shared engine to the farthest core's cycle time
-// across every live domain.
-func (c *Cluster) syncClock() {
-	var maxNs float64
-	for _, d := range c.domains {
-		if d.dead {
-			continue
-		}
-		m := d.mg.Machine()
-		for i := 0; i < m.NumCores(); i++ {
-			if ns := m.NsFor(m.Core(i).Cycles); ns > maxNs {
-				maxNs = ns
-			}
-		}
-	}
-	if t := sim.Time(maxNs); t > c.eng.Now() {
-		c.eng.Run(t)
-	}
 }
 
 // react is the recovery state machine, run once per round:
@@ -463,7 +405,7 @@ func (c *Cluster) react(now sim.Time) error {
 		}
 		m := d.mg.Machine()
 		for core := 0; core < m.NumCores(); core++ {
-			if d.mg.CoreFenced(core) || d.mg.Domain.Offline(core) {
+			if d.mg.CoreFenced(core) {
 				continue
 			}
 			id := c.coreID(d, core)
@@ -493,21 +435,7 @@ func (c *Cluster) react(now sim.Time) error {
 				c.violate(now, "domain %d core %d: detection MTTR %v exceeds budget %v", d.id, core, mttr, c.cfg.DetectBudget)
 			}
 		}
-		live, offline := 0, 0
-		for core := 0; core < m.NumCores(); core++ {
-			switch {
-			case d.mg.CoreFenced(core):
-			case d.mg.Domain.Offline(core):
-				offline++
-			default:
-				live++
-			}
-		}
-		// A domain whose cores are merely revoked (offline, not fenced) is
-		// healthy-but-coreless: the cluster scheduler decides when it runs
-		// again, so a restart here would fight the upper level. Restart
-		// only when fencing has consumed every core the domain owned.
-		if live == 0 && offline == 0 {
+		if d.mg.FencedCores() == m.NumCores() {
 			if err := c.restartDomain(d, now); err != nil {
 				return err
 			}
@@ -566,22 +494,14 @@ func (c *Cluster) restartDomain(d *domainState, now sim.Time) error {
 	}
 	cancelled := d.mg.CancelPending()
 	discarded := 0
-	if d.injector != nil {
-		discarded = d.injector.Pending()
-		d.injector = nil
+	if inj := d.mg.Injector(); inj != nil {
+		discarded = inj.Pending()
 	}
 	c.Counters.Add("selfheal.events.cancelled", uint64(cancelled))
 	c.Counters.Add("selfheal.injections.discarded", uint64(discarded))
 	fresh, err := c.newManager()
 	if err != nil {
 		return err
-	}
-	fresh.UseEvents(c.events)
-	if c.cfg.WatchdogSoft > 0 || c.cfg.WatchdogHard > 0 {
-		fresh.EnableWatchdog(c.cfg.WatchdogSoft, c.cfg.WatchdogHard)
-	}
-	if c.journey != nil {
-		fresh.AttachJourney(c.journey)
 	}
 	d.mg = fresh
 	baseKeys := fresh.Domain.S.Keys.Available()

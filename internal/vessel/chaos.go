@@ -236,6 +236,68 @@ type ChaosReport struct {
 	ContainedFaults uint64
 }
 
+// The quantum step every layer-1 run loop shares — RunChaos, DrainZombies,
+// the self-healing supervisor and the scheduled cluster: wake a core, run
+// it one quantum, let a policy decide about it, and close the round. The
+// loops differ only in which cores they skip and how they keep an idle
+// clock moving.
+
+// RunQuantum wakes the core if it is halted, then runs it for up to q
+// instructions. ok is false when the core is halted with nothing
+// runnable; it then stays idle and runs nothing.
+func (mg *Manager) RunQuantum(core, q int) (ran int, ok bool, err error) {
+	c := mg.m.Core(core)
+	if c.Halted {
+		if ok, err := mg.Domain.Wake(core); !ok || err != nil {
+			return 0, false, err
+		}
+	}
+	return c.Run(q), true, nil
+}
+
+// Decide asks pol about a core that just ran ran instructions of a
+// q-instruction quantum, charges the decision's modeled cost to that core — the scheduler's
+// overhead is part of the tenant's timeline, which keeps a costed policy
+// deterministic in virtual time — and preempts the core if told to. It
+// reports whether it preempted.
+func (mg *Manager) Decide(pol Policy, core, q, ran int) (bool, error) {
+	dec := pol.Decide(PolicyView{
+		Core:     core,
+		RanFull:  ran == q,
+		QueueLen: len(mg.Domain.Runqueue(core)),
+		Idle:     ran == 0,
+	})
+	mg.m.Core(core).Cycles += dec.CostCycles
+	if !dec.Preempt {
+		return false, nil
+	}
+	return true, mg.Domain.Preempt(core, uproc.SchedCommand{})
+}
+
+// EndRound closes a round at virtual time now: it fires the injections
+// due by now, then reclaims dead supervised uProcesses and schedules their
+// relaunches.
+func (mg *Manager) EndRound(now sim.Time) error {
+	if mg.injector != nil {
+		mg.injector.Step(now)
+	}
+	return mg.pollSupervised()
+}
+
+// Clock is the farthest core's cycle time. A run loop advances the shared
+// engine to the largest Clock of its managers after every round, firing
+// the virtual-time events (restart backoffs, deferred deliveries) that
+// became due.
+func (mg *Manager) Clock() sim.Time {
+	var maxNs float64
+	for i := 0; i < mg.m.NumCores(); i++ {
+		if ns := mg.m.NsFor(mg.m.Core(i).Cycles); ns > maxNs {
+			maxNs = ns
+		}
+	}
+	return sim.Time(maxNs)
+}
+
 // RunChaos runs all cores round-robin in fixed quanta. After each round it
 // advances the discrete-event clock to the farthest core's cycle time
 // (firing restart backoffs), fires due injections, and polls supervised
@@ -253,13 +315,6 @@ func (mg *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		pol = RoundRobinPolicy{}
 	}
 	fatal := make(map[int]bool)
-	markFatal := func(core int) {
-		if !fatal[core] {
-			fatal[core] = true
-			rep.FatalCores = append(rep.FatalCores, core)
-			mg.event("fatal.core", fmt.Sprintf("core=%d fault=%v", core, mg.m.Core(core).Fault))
-		}
-	}
 	rounds := (cfg.Steps + cfg.Quantum - 1) / cfg.Quantum
 	for round := 0; round < rounds; round++ {
 		rep.Rounds++
@@ -268,46 +323,37 @@ func (mg *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 			if fatal[core] || mg.Domain.Fenced(core) {
 				continue
 			}
-			c := mg.m.Core(core)
-			if c.Halted {
-				if c.Fault != nil {
-					markFatal(core)
-					continue
-				}
-				ok, err := mg.Domain.Wake(core)
-				if err != nil {
-					return rep, err
-				}
-				if !ok {
-					continue // nothing runnable; stay idle this round
-				}
+			// A stalled core still runs (nothing) and is decided on;
+			// only a fail-stopped one leaves the rotation. Wake refuses
+			// a faulted core, so one that died in an earlier round
+			// reaches the fatal check below without running.
+			ran, ok, err := mg.RunQuantum(core, cfg.Quantum)
+			if err != nil {
+				return rep, err
 			}
-			ran := c.Run(cfg.Quantum)
 			if ran > 0 {
 				progressed = true
 			}
-			if c.Halted && c.Fault != nil {
-				markFatal(core)
+			if c := mg.m.Core(core); c.Halted && c.Fault != nil {
+				fatal[core] = true
+				rep.FatalCores = append(rep.FatalCores, core)
+				mg.event("fatal.core", fmt.Sprintf("core=%d fault=%v", core, c.Fault))
 				continue
 			}
-			dec := pol.Decide(PolicyView{
-				Core:     core,
-				RanFull:  ran == cfg.Quantum,
-				QueueLen: len(mg.Domain.Runqueue(core)),
-				Idle:     ran == 0,
-			})
-			// The decision's modeled cost lands on the decided core — the
-			// scheduler's overhead is part of the tenant's timeline, which
-			// keeps a costed policy deterministic in virtual time.
-			c.Cycles += dec.CostCycles
-			if dec.Preempt {
-				if err := mg.Domain.Preempt(core, uproc.SchedCommand{}); err != nil {
-					return rep, err
-				}
+			if !ok {
+				continue // nothing runnable; stay idle this round
+			}
+			preempted, err := mg.Decide(pol, core, cfg.Quantum, ran)
+			if err != nil {
+				return rep, err
+			}
+			if preempted {
 				rep.Preemptions++
 			}
 		}
-		mg.syncClock()
+		if t := mg.Clock(); t > mg.eng.Now() {
+			mg.eng.Run(t)
+		}
 		if !progressed && mg.eng.Pending() > 0 {
 			// Every core is idle but virtual-time work (a restart
 			// backoff, a deferred delivery) is queued: core cycles will
@@ -315,10 +361,7 @@ func (mg *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 			// or the run would spin its remaining rounds frozen in time.
 			mg.eng.Step()
 		}
-		if mg.injector != nil {
-			mg.injector.Step(mg.eng.Now())
-		}
-		if err := mg.pollSupervised(); err != nil {
+		if err := mg.EndRound(mg.eng.Now()); err != nil {
 			return rep, err
 		}
 	}
@@ -335,18 +378,4 @@ func (mg *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		rep.ContainedFaults += uint64(u.FaultSignals)
 	}
 	return rep, nil
-}
-
-// syncClock advances the discrete-event clock to the farthest core's cycle
-// time, firing any virtual-time events (restart backoffs) that became due.
-func (mg *Manager) syncClock() {
-	var maxNs float64
-	for i := 0; i < mg.m.NumCores(); i++ {
-		if ns := mg.m.NsFor(mg.m.Core(i).Cycles); ns > maxNs {
-			maxNs = ns
-		}
-	}
-	if t := sim.Time(maxNs); t > mg.eng.Now() {
-		mg.eng.Run(t)
-	}
 }

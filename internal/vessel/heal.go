@@ -68,8 +68,8 @@ func (mg *Manager) UseEvents(l *trace.EventLog) {
 }
 
 // PollSupervised reclaims dead supervised uProcesses and schedules their
-// relaunches — the supervision step RunChaos performs each round, exported
-// for external run loops that drive the manager core by core.
+// relaunches — EndRound's supervision half, exported for callers that
+// settle pending relaunches between rounds without firing injections.
 func (mg *Manager) PollSupervised() error { return mg.pollSupervised() }
 
 // CancelPending cancels every event this manager still has scheduled on

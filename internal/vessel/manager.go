@@ -164,18 +164,16 @@ func (mg *Manager) DrainZombies(quantum int) (bool, error) {
 			if mg.Domain.Fenced(core) || mg.Domain.Offline(core) {
 				continue
 			}
-			c := mg.m.Core(core)
-			if c.Fault != nil || c.Stalled {
+			if c := mg.m.Core(core); c.Fault != nil || c.Stalled {
 				continue
 			}
-			if c.Halted {
-				// A halted core still drains its command queue (where the
-				// kill lands) on wake.
-				if _, err := mg.Domain.Wake(core); err != nil {
-					return false, err
-				}
+			// A halted core still drains its command queue (where the
+			// kill lands) on wake.
+			n, _, err := mg.RunQuantum(core, quantum)
+			if err != nil {
+				return false, err
 			}
-			ran += c.Run(quantum)
+			ran += n
 		}
 		if ran == 0 {
 			if mg.eng.Pending() == 0 {

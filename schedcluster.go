@@ -16,7 +16,6 @@ import (
 	"vessel/internal/faultinject"
 	"vessel/internal/obs"
 	"vessel/internal/obs/journey"
-	"vessel/internal/selfheal"
 	"vessel/internal/sim"
 	"vessel/internal/smas"
 	"vessel/internal/trace"
@@ -75,7 +74,6 @@ type ScheduledCluster struct {
 	clients  []clustersched.Client
 	tracers  []*journey.Tracer
 	events   *trace.EventLog
-	det      *selfheal.Detector
 	injector *faultinject.Injector
 
 	placement map[string]int
@@ -137,7 +135,6 @@ func NewScheduledCluster(cfg SchedClusterConfig) (*ScheduledCluster, error) {
 		cfg:        cfg,
 		eng:        sim.NewEngine(),
 		events:     trace.NewEventLog(1 << 14),
-		det:        selfheal.NewDetector(selfheal.DetectorConfig{}),
 		placement:  make(map[string]int),
 		idleRounds: make([]int, cfg.Domains),
 		transfer:   make(map[int]coreTransfer),
@@ -189,22 +186,18 @@ func NewScheduledCluster(cfg SchedClusterConfig) (*ScheduledCluster, error) {
 
 // domainClient actuates one domain's upcalls: grants bind a cached
 // executor and bring the core online; revokes re-home the runqueue and
-// drain a running thread at its next gate. It also keeps the failure
-// detector's tracked set congruent with the ledger (granted-core churn)
-// and emits the domain-transfer spans.
+// drain a running thread at its next gate. It also emits the
+// domain-transfer spans.
 type domainClient struct {
 	c      *ScheduledCluster
 	domain int
 }
-
-func coreID(domain, core int) string { return fmt.Sprintf("d%d.c%d", domain, core) }
 
 func (dc *domainClient) CoreGranted(core int, at sim.Time) error {
 	s := dc.c
 	if err := s.managers[dc.domain].GrantCore(core); err != nil {
 		return err
 	}
-	s.det.Track(coreID(dc.domain, core), at)
 	if tf, ok := s.transfer[core]; ok {
 		delete(s.transfer, core)
 		s.cfg.Obs.Span(core, tf.at, at, obs.CatGrant,
@@ -219,7 +212,6 @@ func (dc *domainClient) CoreRevoked(core int, at sim.Time) (int, error) {
 	if err != nil {
 		return moved, err
 	}
-	s.det.Forget(coreID(dc.domain, core))
 	s.transfer[core] = coreTransfer{at: at, from: dc.domain}
 	return moved, nil
 }
@@ -313,23 +305,25 @@ func (s *ScheduledCluster) Run(rounds int) error {
 		if err := s.deliverAll(); err != nil {
 			return err
 		}
-		for d, m := range s.managers {
+		var t sim.Time
+		for _, m := range s.managers {
 			for _, core := range m.inner.OnlineCores() {
-				c := m.inner.Machine().Core(core)
-				if c.Fault != nil || c.Stalled {
+				if c := m.inner.Machine().Core(core); c.Fault != nil || c.Stalled {
 					continue
 				}
-				if c.Halted {
-					if _, err := m.inner.Domain.Wake(core); err != nil {
-						return err
-					}
-				}
-				if c.Run(s.cfg.Quantum) > 0 {
-					s.det.Beat(coreID(d, core), s.eng.Now())
+				if _, _, err := m.inner.RunQuantum(core, s.cfg.Quantum); err != nil {
+					return err
 				}
 			}
+			t = max(t, m.inner.Clock())
 		}
-		s.syncClock()
+		// Advance the shared engine to the farthest core's local time
+		// (firing due events on the way); if nothing ran, tick it by one
+		// quantum's worth so virtual time still advances while idle.
+		if t <= s.eng.Now() {
+			t = s.eng.Now().Add(sim.Duration(s.cfg.Quantum) * sim.Nanosecond)
+		}
+		s.eng.Run(t)
 		now := s.eng.Now()
 		for d, m := range s.managers {
 			backlog := m.Backlog()
@@ -415,26 +409,6 @@ func (s *ScheduledCluster) surfaceSwaps() {
 	}
 }
 
-// syncClock advances the shared engine to the farthest core's local time
-// (firing due events on the way); if nothing ran, it ticks the clock by
-// one quantum's worth so virtual time still advances while idle.
-func (s *ScheduledCluster) syncClock() {
-	var maxNs float64
-	for _, m := range s.managers {
-		mach := m.inner.Machine()
-		for i := 0; i < mach.NumCores(); i++ {
-			if ns := mach.NsFor(mach.Core(i).Cycles); ns > maxNs {
-				maxNs = ns
-			}
-		}
-	}
-	if t := sim.Time(maxNs); t > s.eng.Now() {
-		s.eng.Run(t)
-		return
-	}
-	s.eng.Run(s.eng.Now().Add(sim.Duration(s.cfg.Quantum) * sim.Nanosecond))
-}
-
 // SwapPolicy hot-swaps the cluster policy mid-run. The new policy runs
 // wrapped in a fresh failsafe (budget and panic isolation persist across
 // swaps), and cluster-policy fault injections retarget the new wrapper.
@@ -469,10 +443,6 @@ func (s *ScheduledCluster) Now() Time { return s.eng.Now() }
 // Events returns the cluster-wide event log: grants, revokes, swaps,
 // containment, and injections interleave on one timeline.
 func (s *ScheduledCluster) Events() *EventLog { return s.events }
-
-// Detector returns the phi-accrual failure detector tracking granted
-// cores (ids "d<domain>.c<core>").
-func (s *ScheduledCluster) Detector() *FailureDetector { return s.det }
 
 // GrantedCount returns how many cores the ledger currently grants d.
 func (s *ScheduledCluster) GrantedCount(d int) int { return s.sched.GrantedCount(d) }

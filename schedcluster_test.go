@@ -280,41 +280,6 @@ func TestScheduledClusterDeterminism(t *testing.T) {
 	}
 }
 
-// TestScheduledClusterDetectorChurn pins the failure detector's tracked
-// set to the ledger: granted cores are tracked, revoked ones forgotten.
-func TestScheduledClusterDetectorChurn(t *testing.T) {
-	s, err := NewScheduledCluster(SchedClusterConfig{
-		Domains: 2,
-		Cores:   8,
-		Policy:  "fairshare",
-		Quantum: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	launchWave(t, s, 0, 8, "busy")
-	if err := s.Run(24); err != nil {
-		t.Fatal(err)
-	}
-	tracked := make(map[string]bool)
-	for _, id := range s.Detector().Tracked() {
-		tracked[id] = true
-	}
-	n := 0
-	for d := 0; d < 2; d++ {
-		for _, core := range s.Sched().Granted(d) {
-			id := fmt.Sprintf("d%d.c%d", d, core)
-			if !tracked[id] {
-				t.Fatalf("granted core %s not tracked by the detector", id)
-			}
-			n++
-		}
-	}
-	if len(tracked) != n {
-		t.Fatalf("detector tracks %d ids, ledger grants %d cores — revoked cores not forgotten", len(tracked), n)
-	}
-}
-
 // TestScheduledClusterUpcallSpans checks the observability wiring: grant
 // and revoke actuations emit CatUpcall spans (commit → delivery) and a
 // domain-to-domain core transfer emits a CatGrant span.
