@@ -282,8 +282,6 @@ type (
 	// RoundRobinPolicy is the minimal always-rotate policy — the failsafe
 	// fallback and the chaos-run default.
 	RoundRobinPolicy = ivessel.RoundRobinPolicy
-	// FairSharePolicy preempts only when siblings are waiting.
-	FairSharePolicy = ivessel.FairSharePolicy
 	// DomainManager is the per-domain manager a SelfHealCluster hands to
 	// worker build functions (programs are assembled against a specific
 	// domain's call gates).

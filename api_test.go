@@ -238,7 +238,7 @@ func TestSelfHealFacade(t *testing.T) {
 		t.Fatalf("fences=%d healed=%d\n%s", rep.Fences, rep.PkeysHealed, rep.Canonical())
 	}
 	// The failsafe policy facade stands alone too.
-	f := NewFailsafePolicy(FairSharePolicy{}, 1000)
+	f := NewFailsafePolicy(RoundRobinPolicy{}, 1000)
 	f.InjectPanic()
 	f.Decide(PolicyView{Core: 0, RanFull: true})
 	if swapped, reason := f.Swapped(); !swapped || reason != "panic" {

@@ -307,11 +307,21 @@ func TestClusterHealsDomainCrash(t *testing.T) {
 	}
 }
 
+// queuePolicy preempts a full-quantum thread only while siblings wait, so
+// a takeover test's primary differs from the round-robin fallback.
+type queuePolicy struct{}
+
+func (queuePolicy) Name() string { return "queue" }
+
+func (queuePolicy) Decide(v vessel.PolicyView) vessel.PolicyDecision {
+	return vessel.PolicyDecision{Preempt: v.RanFull && v.QueueLen > 0}
+}
+
 func TestClusterFailsafeTakeover(t *testing.T) {
 	c, err := New(Config{
 		Domains:        1,
 		CoresPerDomain: 1,
-		Primary:        func() vessel.Policy { return vessel.FairSharePolicy{} },
+		Primary:        func() vessel.Policy { return queuePolicy{} },
 	})
 	if err != nil {
 		t.Fatal(err)

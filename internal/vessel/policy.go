@@ -61,15 +61,3 @@ func (RoundRobinPolicy) Name() string { return "roundrobin" }
 func (RoundRobinPolicy) Decide(v PolicyView) PolicyDecision {
 	return PolicyDecision{Preempt: v.RanFull}
 }
-
-// FairSharePolicy preempts a full-quantum thread only when siblings wait —
-// an uncontested thread keeps the core, saving the switch.
-type FairSharePolicy struct{}
-
-// Name implements Policy.
-func (FairSharePolicy) Name() string { return "fairshare" }
-
-// Decide implements Policy.
-func (FairSharePolicy) Decide(v PolicyView) PolicyDecision {
-	return PolicyDecision{Preempt: v.RanFull && v.QueueLen > 0}
-}
